@@ -16,12 +16,13 @@
 #            ctest; BXT_FUZZ_SECONDS scales the budget (default 60) and
 #            BXT_FUZZ_FRAMES the wire-frame parser pass (default 100000)
 #   batch    Release build + batch/simd-labeled ctest (batch kernels vs
-#            the scalar reference, SIMD tables vs the scalar table) + an
+#            the reference codecs and reference bus, SIMD tables vs the
+#            scalar table) + an
 #            ASan/UBSan pass of the same tests forced through every
 #            dispatch level (BXT_SIMD=scalar/word/avx2/avx512) + the
 #            bench_codec_throughput sweep with its speedup gates
-#            (BXT_BATCH_MIN_SPEEDUP, default 1.5, over scalar at
-#            batch >= 512; BXT_SIMD_MIN_SPEEDUP, default 2.0, best SIMD
+#            (BXT_BATCH_MIN_SPEEDUP, default 1.5, over the
+#            per-transaction API at batch >= 512; BXT_SIMD_MIN_SPEEDUP, default 2.0, best SIMD
 #            level over word for xor4+zdr encode at batch 512, enforced
 #            only on AVX2-capable runners) + per-level bench JSONs for
 #            bxt_report --diff
@@ -116,7 +117,8 @@ run_fuzz() {
     # --frames pass also fuzzes the bxtd wire-frame parser (clean frames
     # must round-trip; corrupted ones must yield typed errors, never UB),
     # and --batch differentially checks the batch kernels against the
-    # scalar path under the sanitizers (BXT_FUZZ_BATCH_STREAMS scales it).
+    # reference codecs and reference bus under the sanitizers
+    # (BXT_FUZZ_BATCH_STREAMS scales it).
     ./build-ci-asan/tools/bxt_fuzz \
         --seconds "${BXT_FUZZ_SECONDS:-60}" \
         --frames "${BXT_FUZZ_FRAMES:-100000}" \
@@ -127,7 +129,7 @@ run_fuzz() {
 }
 
 run_batch() {
-    echo "=== CI job: batch kernels vs scalar reference ==="
+    echo "=== CI job: batch kernels vs reference codecs ==="
     cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=Release
     cmake --build build-ci-release -j "${jobs}" \
         --target test_batch test_simd bench_codec_throughput
@@ -146,9 +148,9 @@ run_batch() {
     done
     # Differential coverage first (golden corpus through the batch
     # kernels, split-invariance, the short fuzz campaign), then the
-    # throughput smoke: the batch path must beat the scalar loop by the
-    # gate factor at batch >= 512 on at least one spec, and the sweep
-    # itself asserts BusStats field-identity at every batch size.
+    # throughput smoke: the batch API must beat the per-transaction API
+    # by the gate factor at batch >= 512 on at least one spec, and the
+    # sweep itself asserts BusStats field-identity at every batch size.
     ctest --test-dir build-ci-release --output-on-failure -j "${jobs}" \
         -L 'batch|simd'
     # The SIMD floor only binds on hosts whose CPU can beat the word

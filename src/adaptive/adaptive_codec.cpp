@@ -22,52 +22,23 @@ AdaptiveCodec::make(const Config &config, std::string &err)
         new AdaptiveCodec(std::move(controller), std::move(name)));
 }
 
-Encoded
-AdaptiveCodec::encode(const Transaction &tx)
-{
-    Encoded out;
-    encodeInto(tx, out);
-    return out;
-}
-
-Transaction
-AdaptiveCodec::decode(const Encoded &enc)
-{
-    return controller_->activeCodec().decode(enc);
-}
-
-void
-AdaptiveCodec::encodeInto(const Transaction &tx, Encoded &out)
-{
-    // Each scalar transaction is its own batch boundary.
-    controller_->maybeEvaluate();
-    controller_->activeCodec().encodeInto(tx, out);
-    controller_->observe(tx.data(), tx.size());
-}
-
-void
-AdaptiveCodec::decodeInto(const Encoded &enc, Transaction &out)
-{
-    controller_->activeCodec().decodeInto(enc, out);
-}
-
 void
 AdaptiveCodec::encodeBatchKernel(const TxBatch &in, EncodedBatch &out)
 {
     // Evaluate before encoding so a switch lands exactly on the batch
     // boundary; observe after encoding so a batch can never influence
-    // the choice that encodes it. The delegate's own (non-virtual)
-    // encodeBatch runs, making the output byte-identical to the chosen
-    // concrete codec encoding this batch standalone.
+    // the choice that encodes it. The delegate's own kernel runs, making
+    // the output byte-identical to the chosen concrete codec encoding
+    // this batch standalone.
     controller_->maybeEvaluate();
-    controller_->activeCodec().encodeBatch(in, out);
+    runEncodeKernel(controller_->activeCodec(), in, out);
     controller_->observe(in);
 }
 
 void
 AdaptiveCodec::decodeBatchKernel(const EncodedBatch &in, TxBatch &out)
 {
-    controller_->activeCodec().decodeBatch(in, out);
+    runDecodeKernel(controller_->activeCodec(), in, out);
 }
 
 CodecPtr

@@ -7,8 +7,9 @@
  * byte per metadata bit, beat-major per transaction, transactions
  * concatenated). The batch kernels (Codec::encodeBatch / decodeBatch,
  * Bus::transmitBatch) stream whole planes instead of paying per-
- * transaction virtual dispatch and buffer bookkeeping — the scalar
- * Transaction/Encoded API remains the reference implementation.
+ * transaction virtual dispatch and buffer bookkeeping. They are each
+ * codec's only implementation: the per-transaction Transaction/Encoded
+ * API runs one-transaction batches through them.
  */
 
 #ifndef BXT_CORE_BATCH_H

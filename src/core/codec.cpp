@@ -35,25 +35,74 @@ Encoded::metaOnes() const
     return count;
 }
 
+Encoded
+Codec::encode(const Transaction &tx)
+{
+    Encoded enc;
+    encodeInto(tx, enc);
+    return enc;
+}
+
+Transaction
+Codec::decode(const Encoded &enc)
+{
+    Transaction tx(enc.payload.size());
+    decodeInto(enc, tx);
+    return tx;
+}
+
 void
 Codec::encodeInto(const Transaction &tx, Encoded &out)
 {
-    out = encode(tx);
+    one_in_.reset(tx.size());
+    one_in_.append(tx.data(), 1);
+    runEncodeKernel(*this, one_in_, one_enc_);
+    out.payload = Transaction(one_enc_.payload(0));
+    out.meta.assign(one_enc_.meta(0).begin(), one_enc_.meta(0).end());
+    out.metaWiresPerBeat = one_enc_.metaWiresPerBeat();
 }
 
 void
 Codec::decodeInto(const Encoded &enc, Transaction &out)
 {
-    out = decode(enc);
+    const std::size_t tx_bytes = enc.payload.size();
+    one_enc_.configure(tx_bytes, enc.metaWiresPerBeat, enc.meta.size());
+    one_enc_.resizeForOverwrite(1);
+    std::memcpy(one_enc_.payloadData(), enc.payload.data(), tx_bytes);
+    std::copy(enc.meta.begin(), enc.meta.end(), one_enc_.meta(0).begin());
+    runDecodeKernel(*this, one_enc_, one_out_);
+    out = Transaction(one_out_.tx(0));
+}
+
+void
+Codec::runEncodeKernel(Codec &codec, const TxBatch &in, EncodedBatch &out)
+{
+    if (in.txBytes() == 0)
+        throw CodecSizeError("encodeBatch: batch has no geometry");
+    codec.encodeBatchKernel(in, out);
+    BXT_ASSERT(out.size() == in.size() && out.txBytes() == in.txBytes());
+}
+
+void
+Codec::runDecodeKernel(Codec &codec, const EncodedBatch &in, TxBatch &out)
+{
+    if (in.txBytes() == 0)
+        throw CodecSizeError("decodeBatch: batch has no geometry");
+    if (in.metaWiresPerBeat() != codec.metaWiresPerBeat()) {
+        throw CodecSizeError(
+            "decodeBatch: batch carries " +
+            std::to_string(in.metaWiresPerBeat()) +
+            " metadata wires/beat but codec " + codec.name() +
+            " expects " + std::to_string(codec.metaWiresPerBeat()));
+    }
+    codec.decodeBatchKernel(in, out);
+    BXT_ASSERT(out.size() == in.size() && out.txBytes() == in.txBytes());
 }
 
 void
 Codec::encodeBatch(const TxBatch &in, EncodedBatch &out)
 {
-    if (in.txBytes() == 0)
-        throw CodecSizeError("encodeBatch: batch has no geometry");
-    encodeBatchKernel(in, out);
-    BXT_ASSERT(out.size() == in.size() && out.txBytes() == in.txBytes());
+    runEncodeKernel(*this, in, out);
     if (telemetry::metricsEnabled()) {
         telemetry::histogram("bxt.codec." +
                              telemetry::sanitizeMetricName(name()) +
@@ -65,101 +114,7 @@ Codec::encodeBatch(const TxBatch &in, EncodedBatch &out)
 void
 Codec::decodeBatch(const EncodedBatch &in, TxBatch &out)
 {
-    if (in.txBytes() == 0)
-        throw CodecSizeError("decodeBatch: batch has no geometry");
-    if (in.metaWiresPerBeat() != metaWiresPerBeat()) {
-        throw CodecSizeError(
-            "decodeBatch: batch carries " +
-            std::to_string(in.metaWiresPerBeat()) +
-            " metadata wires/beat but codec " + name() + " expects " +
-            std::to_string(metaWiresPerBeat()));
-    }
-    decodeBatchKernel(in, out);
-    BXT_ASSERT(out.size() == in.size() && out.txBytes() == in.txBytes());
-}
-
-void
-Codec::encodeBatchKernel(const TxBatch &in, EncodedBatch &out)
-{
-    // Correct-by-construction shim: loop the scalar hot path, learning
-    // the metadata geometry from the first encoding (stateful and
-    // third-party codecs need no batch-specific code to stay correct).
-    const std::size_t tx_bytes = in.txBytes();
-    if (in.empty()) {
-        out.configure(tx_bytes, metaWiresPerBeat(), 0);
-        out.resize(0);
-        return;
-    }
-    Encoded scratch;
-    Transaction tx(tx_bytes);
-    for (std::size_t i = 0; i < in.size(); ++i) {
-        std::memcpy(tx.data(), in.tx(i).data(), tx_bytes);
-        encodeInto(tx, scratch);
-        if (i == 0) {
-            out.configure(tx_bytes, scratch.metaWiresPerBeat,
-                          scratch.meta.size());
-            out.resizeForOverwrite(in.size());
-        }
-        if (scratch.payload.size() != tx_bytes ||
-            scratch.meta.size() != out.metaBitsPerTx() ||
-            scratch.metaWiresPerBeat != out.metaWiresPerBeat()) {
-            throw CodecSizeError("encodeBatch: codec " + name() +
-                                 " produced inconsistent encoding "
-                                 "geometry within one batch");
-        }
-        copyBytes(out.payload(i).data(), scratch.payload.data(), tx_bytes);
-        std::copy(scratch.meta.begin(), scratch.meta.end(),
-                  out.meta(i).begin());
-    }
-}
-
-void
-Codec::decodeBatchKernel(const EncodedBatch &in, TxBatch &out)
-{
-    const std::size_t tx_bytes = in.txBytes();
-    out.reset(tx_bytes);
-    out.resizeForOverwrite(in.size());
-    Encoded scratch;
-    scratch.metaWiresPerBeat = in.metaWiresPerBeat();
-    Transaction back(tx_bytes);
-    for (std::size_t i = 0; i < in.size(); ++i) {
-        scratch.payload = Transaction(in.payload(i));
-        scratch.meta.assign(in.meta(i).begin(), in.meta(i).end());
-        decodeInto(scratch, back);
-        if (back.size() != tx_bytes) {
-            throw CodecSizeError("decodeBatch: codec " + name() +
-                                 " changed the transaction size");
-        }
-        std::memcpy(out.tx(i).data(), back.data(), tx_bytes);
-    }
-}
-
-Encoded
-IdentityCodec::encode(const Transaction &tx)
-{
-    Encoded enc;
-    encodeInto(tx, enc);
-    return enc;
-}
-
-Transaction
-IdentityCodec::decode(const Encoded &enc)
-{
-    return enc.payload;
-}
-
-void
-IdentityCodec::encodeInto(const Transaction &tx, Encoded &out)
-{
-    out.payload = tx;
-    out.meta.clear();
-    out.metaWiresPerBeat = 0;
-}
-
-void
-IdentityCodec::decodeInto(const Encoded &enc, Transaction &out)
-{
-    out = enc.payload;
+    runDecodeKernel(*this, in, out);
 }
 
 void

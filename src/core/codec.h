@@ -54,10 +54,19 @@ struct Encoded
 /**
  * A transaction encoder/decoder.
  *
+ * Each codec implements its scheme exactly once, as a pair of batch
+ * kernels (encodeBatchKernel / decodeBatchKernel) over flat transaction
+ * planes. Everything else is a non-virtual wrapper: encodeBatch and
+ * decodeBatch validate the geometry and record telemetry, and the
+ * per-transaction API (encode, decode, encodeInto, decodeInto) runs a
+ * one-transaction batch through the same kernel.
+ *
  * Codecs may be stateful (BD-Encoding keeps a repository of recent words on
- * each side of the channel); encode() and decode() therefore take the
+ * each side of the channel); every entry point therefore takes the
  * transaction stream in transmission order. Stateless codecs (everything
- * the paper proposes) give identical results in any order.
+ * the paper proposes) give identical results in any order. A codec owns
+ * scratch buffers for its per-transaction wrappers, so one instance must
+ * not be driven from two threads at once.
  */
 class Codec
 {
@@ -68,48 +77,45 @@ class Codec
     virtual std::string name() const = 0;
 
     /** Encode one transaction for transmission / encoded storage. */
-    virtual Encoded encode(const Transaction &tx) = 0;
+    Encoded encode(const Transaction &tx);
 
     /** Recover the original transaction from an encoding. */
-    virtual Transaction decode(const Encoded &enc) = 0;
+    Transaction decode(const Encoded &enc);
 
     /**
-     * Allocation-free encode: write the encoding of @p tx into @p out,
-     * reusing its buffers (the metadata vector's capacity is kept across
-     * calls). Semantically identical to `out = encode(tx)`; the default
-     * implementation is exactly that shim. Hot loops (evalCodecOnStream,
-     * the suite sweep workers) keep one scratch Encoded per worker and
-     * call this instead of encode(). @p out must not alias @p tx.
+     * Encode @p tx into @p out, reusing its buffers (the metadata
+     * vector's capacity is kept across calls). Runs a one-transaction
+     * batch through encodeBatchKernel using scratch batches owned by the
+     * codec, so once those are sized the call allocates nothing. Unlike
+     * encodeBatch it records no `batch_size` sample. @p out must not
+     * alias @p tx.
      */
-    virtual void encodeInto(const Transaction &tx, Encoded &out);
+    void encodeInto(const Transaction &tx, Encoded &out);
 
     /**
-     * Allocation-free decode: write the decoded transaction into @p out.
-     * Semantically identical to `out = decode(enc)` (the default shim).
-     * @p out must not alias @p enc.payload.
+     * Decode @p enc into @p out through a one-transaction decode batch;
+     * the same validation as decodeBatch applies (CodecSizeError on a
+     * metadata wire count or geometry the codec does not accept).
      */
-    virtual void decodeInto(const Encoded &enc, Transaction &out);
+    void decodeInto(const Encoded &enc, Transaction &out);
 
     /**
      * Batch encode: encode every transaction of @p in into @p out, which
-     * is (re)configured to the batch's geometry. This is the hot path:
-     * the non-virtual entry point validates the batch geometry (throwing
-     * CodecSizeError on a mismatch), records the
-     * `bxt.codec.<spec>.batch_size` histogram, and dispatches to
-     * encodeBatchKernel(). The result is bit-identical to looping
-     * encodeInto per transaction — the default kernel is exactly that
-     * shim, and the hand-written kernels are differentially verified
-     * against it (src/verify/batch_check.h).
+     * is (re)configured to the batch's geometry. Validates the batch
+     * geometry (throwing CodecSizeError on a mismatch), dispatches to
+     * encodeBatchKernel(), and records the `bxt.codec.<spec>.batch_size`
+     * histogram.
      *
      * Stateful codecs advance their channel state per transaction in
-     * batch order, exactly as a scalar loop would.
+     * batch order, so splitting a stream into batches of any size gives
+     * the same encodings (the adaptive codec, which switches only on
+     * batch boundaries, is the deliberate exception).
      */
     void encodeBatch(const TxBatch &in, EncodedBatch &out);
 
     /**
      * Batch decode: recover every original transaction of @p in into
-     * @p out. Inverse of encodeBatch; same validation, dispatch, and
-     * bit-identity contract as encodeBatch.
+     * @p out. Inverse of encodeBatch; same validation and dispatch.
      */
     void decodeBatch(const EncodedBatch &in, TxBatch &out);
 
@@ -134,16 +140,32 @@ class Codec
 
   protected:
     /**
-     * Batch-encode kernel. The default implementation is the correct
-     * shim: it loops encodeInto over the batch, discovering the metadata
-     * geometry from the first encoding. Word-wide overrides exist for
-     * Identity, BaseXor(+ZDR), Universal(+ZDR), DBI-DC, and Pipeline;
-     * every override must be bit-identical to the shim.
+     * The codec's encoder: configure @p out to the batch geometry and
+     * encode every transaction of @p in. The hand-written kernels are
+     * checked against the naive reference codecs of src/verify
+     * (src/verify/batch_check.h).
      */
-    virtual void encodeBatchKernel(const TxBatch &in, EncodedBatch &out);
+    virtual void encodeBatchKernel(const TxBatch &in, EncodedBatch &out) = 0;
 
-    /** Batch-decode kernel; default shim loops decodeInto. */
-    virtual void decodeBatchKernel(const EncodedBatch &in, TxBatch &out);
+    /** The codec's decoder: the inverse of encodeBatchKernel. */
+    virtual void decodeBatchKernel(const EncodedBatch &in, TxBatch &out) = 0;
+
+    /**
+     * Run @p codec's kernels behind the same geometry checks as
+     * encodeBatch / decodeBatch but without the `batch_size` sample.
+     * Composite codecs (Pipeline, Adaptive) reach their member codecs
+     * through these, so only the outermost call records a sample.
+     */
+    static void runEncodeKernel(Codec &codec, const TxBatch &in,
+                                EncodedBatch &out);
+    static void runDecodeKernel(Codec &codec, const EncodedBatch &in,
+                                TxBatch &out);
+
+  private:
+    /** One-transaction scratch batches behind the per-transaction API. */
+    TxBatch one_in_;
+    EncodedBatch one_enc_;
+    TxBatch one_out_;
 };
 
 /** Owning codec handle. */
@@ -157,10 +179,6 @@ class IdentityCodec : public Codec
 {
   public:
     std::string name() const override { return "baseline"; }
-    Encoded encode(const Transaction &tx) override;
-    Transaction decode(const Encoded &enc) override;
-    void encodeInto(const Transaction &tx, Encoded &out) override;
-    void decodeInto(const Encoded &enc, Transaction &out) override;
 
   protected:
     void encodeBatchKernel(const TxBatch &in, EncodedBatch &out) override;

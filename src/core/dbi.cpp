@@ -1,13 +1,58 @@
 #include "core/dbi.h"
 
 #include <cstring>
-#include <vector>
 
 #include "common/bitops.h"
 #include "common/error.h"
 #include "core/simd/simd.h"
 
 namespace bxt {
+
+namespace {
+
+/** Throw CodecSizeError unless @p tx_bytes is a whole number of beats. */
+void
+requireWholeBeats(const Codec &codec, std::size_t tx_bytes,
+                  std::size_t bus_bytes)
+{
+    if (tx_bytes == 0 || tx_bytes % bus_bytes != 0) {
+        throw CodecSizeError(
+            codec.name() + ": " + std::to_string(tx_bytes) +
+            "-byte transaction is not a whole number of " +
+            std::to_string(bus_bytes) + "-byte beats");
+    }
+}
+
+/**
+ * The decoder both DBI variants share: re-invert every group whose
+ * polarity bit is set. Groups tile the payload plane contiguously and
+ * the metadata plane lists one polarity byte per group in that order,
+ * so the whole batch is one dispatched plane call.
+ */
+void
+decodeGroups(const Codec &codec, std::size_t group_bytes,
+             std::size_t bus_bytes, const EncodedBatch &in, TxBatch &out)
+{
+    requireWholeBeats(codec, in.txBytes(), bus_bytes);
+    const std::size_t tx_bytes = in.txBytes();
+    const std::size_t groups_per_tx = tx_bytes / group_bytes;
+    if (in.metaBitsPerTx() != groups_per_tx) {
+        throw CodecSizeError(codec.name() + ": batch carries " +
+                             std::to_string(in.metaBitsPerTx()) +
+                             " metadata bits per transaction, expected " +
+                             std::to_string(groups_per_tx));
+    }
+    out.reset(tx_bytes);
+    out.resizeForOverwrite(in.size());
+    if (in.size() == 0)
+        return;
+
+    std::memcpy(out.data(), in.payloadData(), in.payloadBytes());
+    simd::ops().dbiDecodePlane(out.data(), in.metaData(),
+                               in.payloadBytes() / group_bytes, group_bytes);
+}
+
+} // namespace
 
 DbiCodec::DbiCodec(std::size_t group_bytes, std::size_t bus_bytes)
     : group_bytes_(group_bytes), bus_bytes_(bus_bytes)
@@ -30,92 +75,9 @@ DbiCodec::metaWiresPerBeat() const
 }
 
 void
-DbiCodec::requireTxSize(std::size_t tx_bytes) const
-{
-    if (tx_bytes == 0 || tx_bytes % bus_bytes_ != 0) {
-        throw CodecSizeError(
-            name() + ": " + std::to_string(tx_bytes) +
-            "-byte transaction is not a whole number of " +
-            std::to_string(bus_bytes_) + "-byte beats");
-    }
-}
-
-Encoded
-DbiCodec::encode(const Transaction &tx)
-{
-    Encoded enc;
-    encodeInto(tx, enc);
-    return enc;
-}
-
-Transaction
-DbiCodec::decode(const Encoded &enc)
-{
-    Transaction tx(enc.payload.size());
-    decodeInto(enc, tx);
-    return tx;
-}
-
-void
-DbiCodec::encodeInto(const Transaction &tx, Encoded &enc)
-{
-    requireTxSize(tx.size());
-    enc.payload = tx;
-    enc.metaWiresPerBeat =
-        static_cast<unsigned>(bus_bytes_ / group_bytes_);
-
-    std::uint8_t *data = enc.payload.data();
-    const std::size_t beats = tx.size() / bus_bytes_;
-    const std::size_t half_bits = group_bytes_ * 8 / 2;
-    enc.meta.clear();
-    enc.meta.reserve(beats * enc.metaWiresPerBeat);
-
-    for (std::size_t beat = 0; beat < beats; ++beat) {
-        for (std::size_t g = 0; g < bus_bytes_; g += group_bytes_) {
-            std::uint8_t *group = data + beat * bus_bytes_ + g;
-            const std::size_t ones =
-                popcountBytes({group, group_bytes_});
-            const bool invert = ones > half_bits;
-            if (invert) {
-                for (std::size_t i = 0; i < group_bytes_; ++i)
-                    group[i] = static_cast<std::uint8_t>(~group[i]);
-            }
-            enc.meta.push_back(invert ? 1 : 0);
-        }
-    }
-}
-
-void
-DbiCodec::decodeInto(const Encoded &enc, Transaction &tx)
-{
-    tx = enc.payload;
-    requireTxSize(tx.size());
-    const std::size_t beats = tx.size() / bus_bytes_;
-    const std::size_t groups_per_beat = bus_bytes_ / group_bytes_;
-    if (enc.meta.size() != beats * groups_per_beat) {
-        throw CodecSizeError(name() + ": encoding carries " +
-                             std::to_string(enc.meta.size()) +
-                             " metadata bits, expected " +
-                             std::to_string(beats * groups_per_beat));
-    }
-
-    std::uint8_t *data = tx.data();
-    std::size_t meta_index = 0;
-    for (std::size_t beat = 0; beat < beats; ++beat) {
-        for (std::size_t g = 0; g < bus_bytes_; g += group_bytes_) {
-            if (enc.meta[meta_index++]) {
-                std::uint8_t *group = data + beat * bus_bytes_ + g;
-                for (std::size_t i = 0; i < group_bytes_; ++i)
-                    group[i] = static_cast<std::uint8_t>(~group[i]);
-            }
-        }
-    }
-}
-
-void
 DbiCodec::encodeBatchKernel(const TxBatch &in, EncodedBatch &out)
 {
-    requireTxSize(in.txBytes());
+    requireWholeBeats(*this, in.txBytes(), bus_bytes_);
     const std::size_t tx_bytes = in.txBytes();
     const std::size_t beats = tx_bytes / bus_bytes_;
     const unsigned wires = metaWiresPerBeat();
@@ -139,25 +101,7 @@ DbiCodec::encodeBatchKernel(const TxBatch &in, EncodedBatch &out)
 void
 DbiCodec::decodeBatchKernel(const EncodedBatch &in, TxBatch &out)
 {
-    requireTxSize(in.txBytes());
-    const std::size_t tx_bytes = in.txBytes();
-    const std::size_t beats = tx_bytes / bus_bytes_;
-    const std::size_t groups_per_beat = bus_bytes_ / group_bytes_;
-    if (in.metaBitsPerTx() != beats * groups_per_beat) {
-        throw CodecSizeError(name() + ": batch carries " +
-                             std::to_string(in.metaBitsPerTx()) +
-                             " metadata bits per transaction, expected " +
-                             std::to_string(beats * groups_per_beat));
-    }
-    out.reset(tx_bytes);
-    out.resizeForOverwrite(in.size());
-    if (in.size() == 0)
-        return;
-
-    std::memcpy(out.data(), in.payloadData(), in.payloadBytes());
-    const std::size_t total_groups = in.payloadBytes() / group_bytes_;
-    simd::ops().dbiDecodePlane(out.data(), in.metaData(), total_groups,
-                               group_bytes_);
+    decodeGroups(*this, group_bytes_, bus_bytes_, in, out);
 }
 
 DbiAcCodec::DbiAcCodec(std::size_t group_bytes, std::size_t bus_bytes)
@@ -180,79 +124,51 @@ DbiAcCodec::metaWiresPerBeat() const
     return static_cast<unsigned>(bus_bytes_ / group_bytes_);
 }
 
-Encoded
-DbiAcCodec::encode(const Transaction &tx)
+void
+DbiAcCodec::encodeBatchKernel(const TxBatch &in, EncodedBatch &out)
 {
-    if (tx.size() % bus_bytes_ != 0) {
-        throw CodecSizeError(
-            name() + ": " + std::to_string(tx.size()) +
-            "-byte transaction is not a whole number of " +
-            std::to_string(bus_bytes_) + "-byte beats");
-    }
-    Encoded enc;
-    enc.payload = tx;
-    enc.metaWiresPerBeat = metaWiresPerBeat();
+    requireWholeBeats(*this, in.txBytes(), bus_bytes_);
+    const std::size_t tx_bytes = in.txBytes();
+    const std::size_t beats = tx_bytes / bus_bytes_;
+    const unsigned wires = metaWiresPerBeat();
+    out.configure(tx_bytes, wires, beats * wires);
+    out.resizeForOverwrite(in.size());
+    if (in.empty())
+        return;
 
-    std::uint8_t *data = enc.payload.data();
-    const std::size_t beats = tx.size() / bus_bytes_;
+    std::memcpy(out.payloadData(), in.data(), in.planeBytes());
     const std::size_t half_bits = group_bytes_ * 8 / 2;
-    enc.meta.reserve(beats * enc.metaWiresPerBeat);
-
-    // prev holds the *encoded* previous beat (what the wires carried);
-    // the bus idles at zero before beat 0.
-    std::vector<std::uint8_t> prev(bus_bytes_, 0);
-    for (std::size_t beat = 0; beat < beats; ++beat) {
-        for (std::size_t g = 0; g < bus_bytes_; g += group_bytes_) {
-            std::uint8_t *group = data + beat * bus_bytes_ + g;
-            std::size_t transitions = 0;
-            for (std::size_t i = 0; i < group_bytes_; ++i) {
-                transitions += static_cast<std::size_t>(popcount64(
-                    static_cast<std::uint8_t>(group[i] ^ prev[g + i])));
+    std::uint8_t *meta = out.metaData();
+    for (std::size_t t = 0; t < in.size(); ++t) {
+        std::uint8_t *data = out.payload(t).data();
+        for (std::size_t beat = 0; beat < beats; ++beat) {
+            for (std::size_t g = 0; g < bus_bytes_; g += group_bytes_) {
+                // Transitions are counted against the *encoded* previous
+                // beat (what the wires carried, already rewritten in
+                // place); the bus idles at zero before beat 0.
+                std::uint8_t *group = data + beat * bus_bytes_ + g;
+                std::size_t transitions = 0;
+                for (std::size_t i = 0; i < group_bytes_; ++i) {
+                    const std::uint8_t prev =
+                        beat == 0 ? 0 : group[i - bus_bytes_];
+                    transitions += static_cast<std::size_t>(popcount64(
+                        static_cast<std::uint8_t>(group[i] ^ prev)));
+                }
+                const bool invert = transitions > half_bits;
+                if (invert) {
+                    for (std::size_t i = 0; i < group_bytes_; ++i)
+                        group[i] = static_cast<std::uint8_t>(~group[i]);
+                }
+                *meta++ = invert ? 1 : 0;
             }
-            const bool invert = transitions > half_bits;
-            if (invert) {
-                for (std::size_t i = 0; i < group_bytes_; ++i)
-                    group[i] = static_cast<std::uint8_t>(~group[i]);
-            }
-            enc.meta.push_back(invert ? 1 : 0);
-            for (std::size_t i = 0; i < group_bytes_; ++i)
-                prev[g + i] = group[i];
         }
     }
-    return enc;
 }
 
-Transaction
-DbiAcCodec::decode(const Encoded &enc)
+void
+DbiAcCodec::decodeBatchKernel(const EncodedBatch &in, TxBatch &out)
 {
-    Transaction tx = enc.payload;
-    if (tx.size() % bus_bytes_ != 0) {
-        throw CodecSizeError(
-            name() + ": " + std::to_string(tx.size()) +
-            "-byte payload is not a whole number of " +
-            std::to_string(bus_bytes_) + "-byte beats");
-    }
-    const std::size_t beats = tx.size() / bus_bytes_;
-    const std::size_t groups_per_beat = bus_bytes_ / group_bytes_;
-    if (enc.meta.size() != beats * groups_per_beat) {
-        throw CodecSizeError(name() + ": encoding carries " +
-                             std::to_string(enc.meta.size()) +
-                             " metadata bits, expected " +
-                             std::to_string(beats * groups_per_beat));
-    }
-
-    std::uint8_t *data = tx.data();
-    std::size_t meta_index = 0;
-    for (std::size_t beat = 0; beat < beats; ++beat) {
-        for (std::size_t g = 0; g < bus_bytes_; g += group_bytes_) {
-            if (enc.meta[meta_index++]) {
-                std::uint8_t *group = data + beat * bus_bytes_ + g;
-                for (std::size_t i = 0; i < group_bytes_; ++i)
-                    group[i] = static_cast<std::uint8_t>(~group[i]);
-            }
-        }
-    }
-    return tx;
+    decodeGroups(*this, group_bytes_, bus_bytes_, in, out);
 }
 
 } // namespace bxt

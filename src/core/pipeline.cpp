@@ -43,69 +43,6 @@ PipelineCodec::metaWiresPerBeat() const
     return wires;
 }
 
-Encoded
-PipelineCodec::encode(const Transaction &tx)
-{
-    Encoded result;
-    encodeInto(tx, result);
-    return result;
-}
-
-Transaction
-PipelineCodec::decode(const Encoded &enc)
-{
-    Transaction payload(enc.payload.size());
-    decodeInto(enc, payload);
-    return payload;
-}
-
-void
-PipelineCodec::encodeInto(const Transaction &tx, Encoded &result)
-{
-    // Each stage encodes the previous stage's payload; metadata streams are
-    // interleaved per beat in stage order when the bus serializes them, so
-    // here we simply concatenate per-beat blocks. Stage outputs land in the
-    // per-stage scratch slots, whose buffers persist across calls.
-    scratch_.resize(stages_.size());
-    const Transaction *payload = &tx;
-    for (std::size_t s = 0; s < stages_.size(); ++s) {
-        stages_[s]->encodeInto(*payload, scratch_[s]);
-        payload = &scratch_[s].payload;
-    }
-    result.payload = *payload;
-    result.meta.clear();
-
-    if (telemetry::metricsEnabled())
-        recordStageMetrics(tx);
-
-    unsigned total_meta_wires = 0;
-    for (const Encoded &enc : scratch_)
-        total_meta_wires += enc.metaWiresPerBeat;
-    result.metaWiresPerBeat = total_meta_wires;
-    if (total_meta_wires == 0)
-        return;
-
-    // All stages see the same beat count (payload size is preserved).
-    std::size_t beats = 0;
-    for (const Encoded &enc : scratch_) {
-        if (enc.metaWiresPerBeat > 0) {
-            const std::size_t stage_beats =
-                enc.meta.size() / enc.metaWiresPerBeat;
-            BXT_ASSERT(beats == 0 || beats == stage_beats);
-            beats = stage_beats;
-        }
-    }
-
-    result.meta.reserve(beats * total_meta_wires);
-    for (std::size_t beat = 0; beat < beats; ++beat) {
-        for (const Encoded &enc : scratch_) {
-            for (unsigned w = 0; w < enc.metaWiresPerBeat; ++w)
-                result.meta.push_back(
-                    enc.meta[beat * enc.metaWiresPerBeat + w]);
-        }
-    }
-}
-
 void
 PipelineCodec::bindStageCounters()
 {
@@ -127,78 +64,15 @@ PipelineCodec::bindStageCounters()
 }
 
 void
-PipelineCodec::recordStageMetrics(const Transaction &tx)
-{
-    bindStageCounters();
-
-    std::size_t ones_in = tx.ones();
-    for (std::size_t s = 0; s < stages_.size(); ++s) {
-        const std::size_t payload_ones = scratch_[s].payload.ones();
-        const std::size_t meta_ones = scratch_[s].metaOnes();
-        const StageCounters &c = stage_counters_[s];
-        c.onesIn->add(ones_in);
-        c.onesOut->add(payload_ones + meta_ones);
-        c.metaOnes->add(meta_ones);
-        c.bytes->add(tx.size());
-        ones_in = payload_ones;
-    }
-}
-
-void
-PipelineCodec::decodeInto(const Encoded &enc, Transaction &out)
-{
-    // Split the concatenated per-beat metadata back into per-stage streams
-    // using each stage's configuration-static wire count.
-    scratch_.resize(stages_.size());
-    unsigned total = 0;
-    for (std::size_t s = 0; s < stages_.size(); ++s) {
-        scratch_[s].metaWiresPerBeat = stages_[s]->metaWiresPerBeat();
-        scratch_[s].meta.clear();
-        total += scratch_[s].metaWiresPerBeat;
-    }
-    if (total != enc.metaWiresPerBeat) {
-        throw CodecSizeError(
-            name() + ": encoding carries " +
-            std::to_string(enc.metaWiresPerBeat) +
-            " metadata wires/beat but the pipeline stages expect " +
-            std::to_string(total));
-    }
-
-    const std::size_t beats =
-        total == 0 ? 0 : enc.meta.size() / total;
-    for (std::size_t s = 0; s < stages_.size(); ++s)
-        scratch_[s].meta.reserve(beats * scratch_[s].metaWiresPerBeat);
-    for (std::size_t beat = 0; beat < beats; ++beat) {
-        std::size_t offset = beat * total;
-        for (std::size_t s = 0; s < stages_.size(); ++s) {
-            const unsigned wires = scratch_[s].metaWiresPerBeat;
-            for (unsigned w = 0; w < wires; ++w)
-                scratch_[s].meta.push_back(enc.meta[offset + w]);
-            offset += wires;
-        }
-    }
-
-    // Decode stages in reverse order. A scratch Transaction ping-pongs
-    // through the stages; each stage's decodeInto writes a fresh output.
-    out = enc.payload;
-    Transaction tmp;
-    for (std::size_t s = stages_.size(); s-- > 0;) {
-        scratch_[s].payload = out;
-        stages_[s]->decodeInto(scratch_[s], tmp);
-        out = tmp;
-    }
-}
-
-void
-PipelineCodec::recordStageMetricsBatch(const TxBatch &in)
+PipelineCodec::recordStageMetrics(const TxBatch &in)
 {
     bindStageCounters();
 
     std::size_t ones_in = in.ones();
     const std::size_t bytes = in.planeBytes();
     for (std::size_t s = 0; s < stages_.size(); ++s) {
-        const std::size_t payload_ones = batch_scratch_[s].payloadOnes();
-        const std::size_t meta_ones = batch_scratch_[s].metaOnes();
+        const std::size_t payload_ones = scratch_[s].payloadOnes();
+        const std::size_t meta_ones = scratch_[s].metaOnes();
         const StageCounters &c = stage_counters_[s];
         c.onesIn->add(ones_in);
         c.onesOut->add(payload_ones + meta_ones);
@@ -220,24 +94,24 @@ PipelineCodec::encodeBatchKernel(const TxBatch &in, EncodedBatch &out)
 
     // Stage 0 encodes the input plane; every later stage encodes the
     // previous stage's payload plane via the ping-pong input batch.
-    batch_scratch_.resize(stages_.size());
-    stages_[0]->encodeBatch(in, batch_scratch_[0]);
+    scratch_.resize(stages_.size());
+    runEncodeKernel(*stages_[0], in, scratch_[0]);
     for (std::size_t s = 1; s < stages_.size(); ++s) {
-        batch_stage_in_.reset(tx_bytes);
-        batch_stage_in_.resizeForOverwrite(in.size());
-        std::memcpy(batch_stage_in_.data(),
-                    batch_scratch_[s - 1].payloadData(),
-                    batch_scratch_[s - 1].payloadBytes());
-        stages_[s]->encodeBatch(batch_stage_in_, batch_scratch_[s]);
+        stage_in_.reset(tx_bytes);
+        stage_in_.resizeForOverwrite(in.size());
+        std::memcpy(stage_in_.data(),
+                    scratch_[s - 1].payloadData(),
+                    scratch_[s - 1].payloadBytes());
+        runEncodeKernel(*stages_[s], stage_in_, scratch_[s]);
     }
 
     if (telemetry::metricsEnabled())
-        recordStageMetricsBatch(in);
+        recordStageMetrics(in);
 
     // All stages see the same beat count (payload size is preserved).
     unsigned total_wires = 0;
     std::size_t beats = 0;
-    for (const EncodedBatch &eb : batch_scratch_) {
+    for (const EncodedBatch &eb : scratch_) {
         total_wires += eb.metaWiresPerBeat();
         if (eb.metaWiresPerBeat() > 0) {
             const std::size_t stage_beats =
@@ -249,17 +123,17 @@ PipelineCodec::encodeBatchKernel(const TxBatch &in, EncodedBatch &out)
 
     out.configure(tx_bytes, total_wires, beats * total_wires);
     out.resizeForOverwrite(in.size());
-    std::memcpy(out.payloadData(), batch_scratch_.back().payloadData(),
+    std::memcpy(out.payloadData(), scratch_.back().payloadData(),
                 out.payloadBytes());
     if (total_wires == 0)
         return;
 
-    // Interleave stage metadata per beat in stage order, exactly as the
-    // scalar encodeInto concatenates per-beat blocks.
+    // Interleave stage metadata per beat in stage order: each beat's
+    // block is stage 0's wires, then stage 1's, and so on.
     for (std::size_t i = 0; i < in.size(); ++i) {
         std::uint8_t *dst = out.metaData() + i * out.metaBitsPerTx();
         for (std::size_t beat = 0; beat < beats; ++beat) {
-            for (const EncodedBatch &eb : batch_scratch_) {
+            for (const EncodedBatch &eb : scratch_) {
                 const unsigned wires = eb.metaWiresPerBeat();
                 if (wires == 0)
                     continue;
@@ -289,12 +163,12 @@ PipelineCodec::decodeBatchKernel(const EncodedBatch &in, TxBatch &out)
 
     // Decode stages in reverse, splitting each stage's metadata wires
     // back out of the interleaved beat blocks.
-    batch_scratch_.resize(stages_.size());
+    scratch_.resize(stages_.size());
     const std::uint8_t *payload = in.payloadData();
     std::size_t payload_bytes = in.payloadBytes();
     unsigned stage_offset = total;
     for (std::size_t s = stages_.size(); s-- > 0;) {
-        EncodedBatch &eb = batch_scratch_[s];
+        EncodedBatch &eb = scratch_[s];
         const unsigned wires = stages_[s]->metaWiresPerBeat();
         stage_offset -= wires;
         eb.configure(tx_bytes, wires, beats * wires);
@@ -310,10 +184,10 @@ PipelineCodec::decodeBatchKernel(const EncodedBatch &in, TxBatch &out)
                                 wires);
             }
         }
-        stages_[s]->decodeBatch(eb, s == 0 ? out : batch_stage_in_);
+        runDecodeKernel(*stages_[s], eb, s == 0 ? out : stage_in_);
         if (s != 0) {
-            payload = batch_stage_in_.data();
-            payload_bytes = batch_stage_in_.planeBytes();
+            payload = stage_in_.data();
+            payload_bytes = stage_in_.planeBytes();
         }
     }
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cstring>
 #include <exception>
 #include <map>
@@ -12,6 +11,7 @@
 #include "common/error.h"
 #include "common/json.h"
 #include "core/codec_factory.h"
+#include "core/simd/simd.h"
 #include "telemetry/metrics.h"
 #include "telemetry/snapshot.h"
 #include "telemetry/trace.h"
@@ -46,22 +46,10 @@ xorToggleWeight(const std::uint8_t *data, std::size_t count,
 {
     if (count < 2 || tx_bytes == 0)
         return 0.0;
-    std::uint64_t toggled = 0;
-    for (std::size_t i = 1; i < count; ++i) {
-        const std::uint8_t *prev = data + (i - 1) * tx_bytes;
-        const std::uint8_t *cur = data + i * tx_bytes;
-        std::size_t at = 0;
-        for (; at + 8 <= tx_bytes; at += 8) {
-            std::uint64_t a, b;
-            std::memcpy(&a, prev + at, 8);
-            std::memcpy(&b, cur + at, 8);
-            toggled += static_cast<std::uint64_t>(std::popcount(a ^ b));
-        }
-        for (; at < tx_bytes; ++at) {
-            toggled += static_cast<std::uint64_t>(
-                std::popcount(static_cast<unsigned>(prev[at] ^ cur[at])));
-        }
-    }
+    // Transaction i XOR transaction i-1, for every i >= 1, is the plane
+    // from transaction 1 onward XORed with the plane shifted back by one.
+    const std::uint64_t toggled = simd::ops().popcountXorRange(
+        data + tx_bytes, data, (count - 1) * tx_bytes);
     return static_cast<double>(toggled) /
            static_cast<double>((count - 1) * tx_bytes * 8);
 }
@@ -505,8 +493,9 @@ Service::handle(const wire::Frame &request)
             break;
         }
     } catch (const CodecSizeError &e) {
-        // Geometry the codec rejects (e.g. xor8 on an 8-byte transaction)
-        // is a client mistake, not a server fault.
+        // Geometry or metadata the codec rejects (e.g. xor8 on an 8-byte
+        // transaction, a BD repository entry the decoder never filled) is
+        // a client mistake, not a server fault.
         response = errorResponse(wire::ErrorCode::Malformed, e.what());
     } catch (const std::exception &e) {
         response = errorResponse(wire::ErrorCode::Internal, e.what());

@@ -13,6 +13,8 @@
 #include "telemetry/trace.h"
 #include "verify/differential.h"
 #include "verify/generators.h"
+#include "verify/reference_bus.h"
+#include "verify/reference_codecs.h"
 
 namespace bxt::verify {
 namespace {
@@ -64,38 +66,63 @@ mixSeed(std::uint64_t seed, const std::string &spec, unsigned wires,
     return h;
 }
 
+/**
+ * The encodings the batch run must reproduce, one per transaction of
+ * @p stream: the naive reference codec's where one exists, otherwise a
+ * fresh core codec's run one transaction per batch.
+ */
+std::vector<RefEncoded>
+expectedEncodings(const std::string &spec,
+                  const std::vector<Transaction> &stream,
+                  unsigned data_wires)
+{
+    std::vector<RefEncoded> expected;
+    expected.reserve(stream.size());
+    if (RefCodecPtr ref = makeRefCodec(spec, data_wires / 8)) {
+        for (const Transaction &tx : stream)
+            expected.push_back(
+                ref->encode({tx.data(), tx.data() + tx.size()}));
+        return expected;
+    }
+    CodecPtr single = makeCodec(spec, data_wires / 8);
+    Encoded enc;
+    for (const Transaction &tx : stream) {
+        single->encodeInto(tx, enc);
+        expected.push_back({{enc.payload.data(),
+                             enc.payload.data() + enc.payload.size()},
+                            enc.meta,
+                            enc.metaWiresPerBeat});
+    }
+    return expected;
+}
+
 } // namespace
 
 std::optional<Violation>
-checkBatchAgainstScalar(const std::string &spec,
-                        const std::vector<Transaction> &stream,
-                        unsigned data_wires, std::size_t batch_tx,
-                        double idle_fraction)
+checkBatchAgainstReference(const std::string &spec,
+                           const std::vector<Transaction> &stream,
+                           unsigned data_wires, std::size_t batch_tx,
+                           double idle_fraction)
 {
     if (stream.empty())
         return std::nullopt;
 
-    CodecPtr scalar_codec = makeCodec(spec, data_wires / 8);
+    // Stateful codecs advance per transaction in stream order on both
+    // sides, so slice j of the batch at offset i must equal expected
+    // encoding i + j.
+    const std::vector<RefEncoded> expected =
+        expectedEncodings(spec, stream, data_wires);
     CodecPtr batch_codec = makeCodec(spec, data_wires / 8);
-    const unsigned meta_wires = scalar_codec->metaWiresPerBeat();
+    const unsigned meta_wires = batch_codec->metaWiresPerBeat();
 
-    // Two independent bus models; wire state and the idle accumulator
-    // advance across the whole stream on both, so any divergence in the
-    // cumulative counters is a batch-path bug, not a modelling artefact.
-    Bus scalar_bus(data_wires, meta_wires, idle_fraction);
+    // The bit-level reference bus carries the expected encodings; the
+    // production bus carries the batches. Wire state and the idle
+    // accumulator advance across the whole stream on both, so any
+    // divergence in the cumulative counters is a batch-path bug.
+    RefBus ref_bus(data_wires, meta_wires, idle_fraction);
+    for (const RefEncoded &want : expected)
+        ref_bus.transmit(want.payload, want.meta, want.metaWiresPerBeat);
     Bus batch_bus(data_wires, meta_wires, idle_fraction);
-
-    // Scalar reference pass over the entire stream first: stateful codecs
-    // advance per transaction in stream order on both codec instances, so
-    // slice i of every batch must equal scalar encoding i.
-    std::vector<Encoded> expected;
-    expected.reserve(stream.size());
-    Encoded scratch;
-    for (const Transaction &tx : stream) {
-        scalar_codec->encodeInto(tx, scratch);
-        scalar_bus.transmit(scratch);
-        expected.push_back(scratch);
-    }
 
     TxBatch batch;
     EncodedBatch enc;
@@ -121,33 +148,31 @@ checkBatchAgainstScalar(const std::string &spec,
         }
 
         for (std::size_t j = 0; j < chunk; ++j) {
-            const Encoded &want = expected[i + j];
+            const RefEncoded &want = expected[i + j];
             const std::string where =
                 spec + " tx " + std::to_string(i + j) + " (batch of " +
                 std::to_string(chunk) + " at offset " + std::to_string(j) +
                 ")";
             if (enc.metaWiresPerBeat() != want.metaWiresPerBeat)
                 return Violation{
-                    "batch-vs-scalar-meta-wires",
+                    "batch-vs-reference-meta-wires",
                     where + ": batch " +
                         std::to_string(enc.metaWiresPerBeat()) +
-                        " wires/beat, scalar " +
+                        " wires/beat, reference " +
                         std::to_string(want.metaWiresPerBeat)};
             if (enc.txBytes() != want.payload.size() ||
                 !bytesEqual(enc.payload(j).data(), want.payload.data(),
                             want.payload.size()))
-                return Violation{"batch-vs-scalar-payload",
+                return Violation{"batch-vs-reference-payload",
                                  where + ": batch " + hexOf(enc.payload(j)) +
-                                     " scalar " + want.payload.toHex()};
+                                     " reference " + hexOf(want.payload)};
             const std::span<const std::uint8_t> got_meta = enc.meta(j);
             if (got_meta.size() != want.meta.size() ||
                 !std::equal(got_meta.begin(), got_meta.end(),
                             want.meta.begin()))
-                return Violation{"batch-vs-scalar-meta",
+                return Violation{"batch-vs-reference-meta",
                                  where + ": batch " + bitsOf(got_meta) +
-                                     " scalar " +
-                                     bitsOf({want.meta.data(),
-                                             want.meta.size()})};
+                                     " reference " + bitsOf(want.meta)};
         }
 
         batch_bus.transmitBatch(enc);
@@ -176,12 +201,12 @@ checkBatchAgainstScalar(const std::string &spec,
         i += chunk;
     }
 
-    if (!(batch_bus.stats() == scalar_bus.stats()))
-        return Violation{"batch-vs-scalar-bus",
+    if (!(batch_bus.stats() == ref_bus.stats()))
+        return Violation{"batch-vs-reference-bus",
                          spec + " after " + std::to_string(stream.size()) +
                              " tx: batch [" + formatStats(batch_bus.stats()) +
-                             "] scalar [" +
-                             formatStats(scalar_bus.stats()) + "]"};
+                             "] reference [" + formatStats(ref_bus.stats()) +
+                             "]"};
 
     return std::nullopt;
 }
@@ -217,7 +242,7 @@ runBatchDifferentialFuzz(const BatchFuzzOptions &options)
                         previous = stream.back();
                     }
                     report.transactionsChecked += stream.size();
-                    if (auto violation = checkBatchAgainstScalar(
+                    if (auto violation = checkBatchAgainstReference(
                             spec, stream, wires, batch_tx,
                             options.idleFraction)) {
                         failed = true;

@@ -1,12 +1,14 @@
 /**
  * @file
- * Batch-vs-scalar differential verification: the batch kernels
- * (Codec::encodeBatch / decodeBatch, Bus::transmitBatch) claim bit-identity
- * with the scalar reference path (encodeInto / decodeInto / transmit).
- * This module checks that claim the same way differential.h checks the
- * core codecs against the naive reference models — structured generator
- * streams, every canonical spec, and a campaign driver shared by
- * `bxt_fuzz --batch`, CI's batch mode, and tests/test_batch.cpp.
+ * Differential verification of the batch kernels, the only encode/decode
+ * implementation each codec has (Codec::encodeBatch / decodeBatch, with
+ * Bus::transmitBatch carrying the result). Expected outputs come from an
+ * independent source: the naive reference codecs of reference_codecs.h
+ * and the bit-level RefBus, or — for the schemes with no reference model
+ * (bd, dbi-ac, adaptive) — a fresh instance run one transaction per
+ * batch. Structured generator streams, every canonical spec, and a
+ * campaign driver shared by `bxt_fuzz --batch`, CI's batch mode, and
+ * tests/test_batch.cpp.
  */
 
 #ifndef BXT_VERIFY_BATCH_CHECK_H
@@ -24,26 +26,34 @@
 namespace bxt::verify {
 
 /**
- * Run @p stream through two fresh instances of @p spec — one down the
- * scalar reference path, one chunked into TxBatches of at most
- * @p batch_tx transactions — and compare bit-for-bit:
+ * Run @p stream through a fresh instance of @p spec chunked into
+ * TxBatches of at most @p batch_tx transactions, and compare bit-for-bit
+ * against the expected encodings:
  *
- *  - every encoded payload slice against the scalar Encoded payload;
- *  - every metadata slice and the metadata wire count;
+ *  - makeRefCodec(spec)'s encodings where a reference model exists
+ *    (baseline, xorN, universal, dbiN, and pipelines of those);
+ *    otherwise a second fresh instance's encodings one transaction per
+ *    batch (for adaptive this only matches when the chunks end on its
+ *    evaluation boundaries);
+ *  - every encoded payload slice, metadata slice, and metadata wire
+ *    count against the expected encoding;
  *  - decodeBatch's output against the original transactions;
- *  - the cumulative BusStats of transmit() vs transmitBatch(), wire
- *    state and idle accumulator carried across batch boundaries alike.
+ *  - the cumulative BusStats of transmitBatch() against RefBus carrying
+ *    the expected encodings, wire state and idle accumulator carried
+ *    across batch boundaries alike.
  *
  * @p batch_tx == 0 means one batch spanning the whole stream. Returns
  * nullopt when every comparison holds.
  */
 std::optional<Violation>
-checkBatchAgainstScalar(const std::string &spec,
-                        const std::vector<Transaction> &stream,
-                        unsigned data_wires = 32, std::size_t batch_tx = 0,
-                        double idle_fraction = 0.3);
+checkBatchAgainstReference(const std::string &spec,
+                           const std::vector<Transaction> &stream,
+                           unsigned data_wires = 32,
+                           std::size_t batch_tx = 0,
+                           double idle_fraction = 0.3);
 
-/** Batch campaign parameters (see FuzzOptions for the scalar analogue). */
+/** Batch campaign parameters (see FuzzOptions for the per-transaction
+ *  analogue). */
 struct BatchFuzzOptions
 {
     /** Specs to sweep; empty selects canonicalSpecs(). */
@@ -72,7 +82,7 @@ struct BatchFuzzOptions
     std::function<void(const std::string &)> progress;
 };
 
-/** One batch-vs-scalar mismatch found by the campaign. */
+/** One batch-vs-reference mismatch found by the campaign. */
 struct BatchFuzzFailure
 {
     std::string spec;
@@ -90,7 +100,7 @@ struct BatchFuzzReport
     bool ok() const { return failures.empty(); }
 };
 
-/** Sweep the canonical specs' batch kernels against the scalar path. */
+/** Sweep the canonical specs' batch kernels against their references. */
 BatchFuzzReport runBatchDifferentialFuzz(const BatchFuzzOptions &options);
 
 } // namespace bxt::verify

@@ -20,6 +20,7 @@
 #include "verify/batch_check.h"
 #include "verify/generators.h"
 #include "verify/golden.h"
+#include "verify/reference_bus.h"
 
 namespace bxt {
 namespace {
@@ -126,7 +127,8 @@ TEST(Batch, TransmitBatchSplitInvariant)
 
 /**
  * End to end through evalCodecOnStream: batch sizes 1, 7, and 64 produce
- * BusStats identical to the scalar reference loop — in particular the
+ * BusStats identical to the bit-level reference bus carrying the same
+ * encodings one transaction at a time — in particular the
  * cross-transaction dataToggles/metaToggles, which are the counters a
  * batch boundary could plausibly perturb.
  */
@@ -135,9 +137,15 @@ TEST(Batch, CrossBatchToggleContinuity)
     const std::vector<Transaction> stream = makeStream(200, 32, 97);
     for (const char *spec : {"xor4+zdr", "universal3+zdr", "dbi4",
                              "universal3+zdr|dbi1", "bd"}) {
-        CodecPtr scalar = makeCodec(spec, 4);
-        const BusStats want =
-            evalCodecOnStream(*scalar, stream, 32, 0.3, 0).stats;
+        CodecPtr single = makeCodec(spec, 4);
+        verify::RefBus ref(32, single->metaWiresPerBeat(), 0.3);
+        for (const Transaction &tx : stream) {
+            const Encoded enc = single->encode(tx);
+            ref.transmit({enc.payload.data(),
+                          enc.payload.data() + enc.payload.size()},
+                         enc.meta, enc.metaWiresPerBeat);
+        }
+        const BusStats &want = ref.stats();
         for (std::size_t batch_tx : {1, 7, 64}) {
             CodecPtr codec = makeCodec(spec, 4);
             const BusStats got =
@@ -167,7 +175,7 @@ TEST(Batch, GoldenCorpusMatchesBatchKernels)
     EXPECT_GE(files, 17u);
 }
 
-/** A short batch-vs-scalar differential campaign stays in tier 1. */
+/** A short batch-vs-reference differential campaign stays in tier 1. */
 TEST(Batch, DifferentialFuzzSmoke)
 {
     verify::BatchFuzzOptions options;
@@ -183,6 +191,26 @@ TEST(Batch, DifferentialFuzzSmoke)
         ADD_FAILURE() << failure.spec << " batch " << failure.batchTx
                       << ": " << failure.violation.invariant << " — "
                       << failure.violation.detail;
+}
+
+/**
+ * Schemes without a reference model are checked against a run one
+ * transaction per batch (bd and dbi-ac in the fuzz campaign above). The
+ * adaptive codec switches only on batch boundaries, so its chunked runs
+ * match the per-transaction run when every chunk ends on an evaluation
+ * boundary: chunk sizes that divide the default window (64) and period
+ * (256).
+ */
+TEST(Batch, AdaptiveChunksOnEvaluationBoundariesMatchPerTransactionRun)
+{
+    const std::vector<Transaction> stream = makeStream(640, 32, 7);
+    for (std::size_t batch_tx : {8, 64}) {
+        const auto violation = verify::checkBatchAgainstReference(
+            "adaptive", stream, 32, batch_tx);
+        EXPECT_FALSE(violation.has_value())
+            << "batch " << batch_tx << ": " << violation->invariant << " — "
+            << violation->detail;
+    }
 }
 
 /**

@@ -448,6 +448,40 @@ TEST(Service, DecodeGeometryMismatchIsMalformed)
               wire::ErrorCode::Malformed);
 }
 
+/**
+ * A Decode frame whose BD metadata names a repository entry the decoder
+ * has never filled is hostile input, not a broken internal invariant: it
+ * gets a typed Malformed reply and the service keeps answering.
+ */
+TEST(Service, BdDecodeOfUnfilledRepositoryEntryIsMalformed)
+{
+    for (const char *spec : {"bd", "universal3+zdr|bd"}) {
+        SCOPED_TRACE(spec);
+        server::Service service;
+        wire::Frame request;
+        request.opcode = wire::Opcode::Decode;
+        request.spec = spec;
+        wire::BodyWriter body;
+        body.u32(32); // txBytes
+        body.u32(32); // busBits
+        body.u32(4);  // metaWiresPerBeat: one per byte lane
+        body.u32(4);  // metaBytes per transaction
+        body.u64(1);
+        const std::vector<std::uint8_t> payload(32, 0);
+        body.bytes(payload.data(), payload.size());
+        // Word 0's metadata byte: valid flag set, repository index 0 —
+        // but a fresh decoder's repository is still empty.
+        const std::uint8_t meta[4] = {0x80, 0, 0, 0};
+        body.bytes(meta, sizeof meta);
+        request.body = body.take();
+        EXPECT_EQ(errorCodeOf(service.handle(request)),
+                  wire::ErrorCode::Malformed);
+
+        const wire::Frame reply = service.handle(pingFrame());
+        EXPECT_EQ(reply.opcode, wire::Opcode::Ping);
+    }
+}
+
 TEST(Service, EncodeMatchesDirectCodecAndCachesIt)
 {
     server::Service service;

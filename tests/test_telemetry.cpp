@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -621,6 +622,44 @@ TEST_F(TelemetryTest, StageAttributionTelescopesToRefBusOnes)
     EXPECT_EQ(bus_ones, ref_ones);
     EXPECT_EQ(tm::counter("bxt.channel.eval.encoded_ones").value(),
               ref_ones);
+
+    // The per-transaction API runs one-transaction batches through the
+    // same kernels: it leaves exactly the batch run's bxt.codec.*
+    // counters (names and values), and records no batch_size samples.
+    const auto codec_counters = [] {
+        std::map<std::string, std::uint64_t> values;
+        tm::forEachCounter([&](const tm::Counter &c) {
+            if (c.name().rfind("bxt.codec.", 0) == 0 && c.value() != 0)
+                values[c.name()] = c.value();
+        });
+        return values;
+    };
+    const auto batch_size_samples = [] {
+        std::uint64_t samples = 0;
+        tm::forEachHisto([&](const tm::Histo &h) {
+            if (h.name().rfind("bxt.codec.", 0) == 0 &&
+                h.name().ends_with(".batch_size"))
+                samples += h.total();
+        });
+        return samples;
+    };
+    const std::map<std::string, std::uint64_t> batch_counters =
+        codec_counters();
+    EXPECT_GT(batch_size_samples(), 0u);
+
+    tm::resetForTest();
+    {
+        CodecPtr codec = makeCodec(spec, data_wires / 8);
+        Encoded enc;
+        Transaction back;
+        for (const Transaction &tx : stream) {
+            codec->encodeInto(tx, enc);
+            codec->decodeInto(enc, back);
+            ASSERT_EQ(back, tx);
+        }
+    }
+    EXPECT_EQ(codec_counters(), batch_counters);
+    EXPECT_EQ(batch_size_samples(), 0u);
 }
 
 // ---------------------------------------------------------------------
