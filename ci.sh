@@ -10,8 +10,8 @@
 #   release  Release build + `ctest -L tier1`
 #   asan     ASan/UBSan build + `ctest -L tier1` (oversubscribed pool)
 #   tsan     ThreadSanitizer build + telemetry/server-labeled ctest: the
-#            lock-free instrument paths, span rings, and the threaded
-#            server under the race detector
+#            lock-free instrument paths, the per-thread span store, and
+#            the threaded server under the race detector
 #   fuzz     ASan/UBSan build + bxt_fuzz campaign + fuzz/golden-labeled
 #            ctest; BXT_FUZZ_SECONDS scales the budget (default 60) and
 #            BXT_FUZZ_FRAMES the wire-frame parser pass (default 100000)
@@ -22,10 +22,11 @@
 #            dispatch level (BXT_SIMD=scalar/word/avx2/avx512) + the
 #            bench_codec_throughput sweep with its speedup gates
 #            (BXT_BATCH_MIN_SPEEDUP, default 1.5, over the
-#            per-transaction API at batch >= 512; BXT_SIMD_MIN_SPEEDUP, default 2.0, best SIMD
-#            level over word for xor4+zdr encode at batch 512, enforced
-#            only on AVX2-capable runners) + per-level bench JSONs for
-#            bxt_report --diff
+#            per-transaction API at batch >= 512 for every swept spec;
+#            BXT_SIMD_MIN_SPEEDUP, default 2.0, best SIMD level over
+#            word for xor4+zdr encode at batch 512, enforced only on
+#            AVX2-capable runners; gate rows are medians of 5 runs of
+#            >= 20 ms each) + per-level bench JSONs for bxt_report --diff
 #   metrics  Release build + telemetry-enabled run: validates the metrics
 #            snapshot and trace with bxt_report, then asserts the
 #            compiled-in-but-disabled telemetry costs under
@@ -38,9 +39,10 @@
 #            default 100000, into BENCH_server_loadgen.json), re-run the
 #            burst with --trace-sample 0.01 and assert the traced tx rate
 #            stays within BXT_TRACE_OVERHEAD_PCT (default 2) percent of
-#            the untraced one, upload the merged Chrome span trace
-#            (bxtd --trace-spans) and a schema-2 Snapshot-opcode
-#            document, then SIGTERM it and assert a clean drain (exit 0)
+#            the untraced one, upload the Chrome span trace (bxtd
+#            --trace-spans; asserted to have dropped no span) and a
+#            schema-2 Snapshot-opcode document, then SIGTERM it and
+#            assert a clean drain (exit 0)
 #   scenario Release build + scenario-labeled ctest + multi-tenant traffic
 #            smoke: boot a metrics-enabled bxtd, replay the zipf-0.99 and
 #            hot-flood presets unpaced over 4 connections (asserting
@@ -100,9 +102,10 @@ run_tsan() {
         -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-sanitize-recover=all"
     cmake --build build-ci-tsan -j "${jobs}" \
         --target test_telemetry test_server test_adaptive
-    # The span rings, HDR histograms, and snapshot exporter are
-    # lock-free; the server tests drive them from real worker threads,
-    # and the adaptive loopback test runs per-stream controllers on them.
+    # The HDR histograms and snapshot exporter are lock-free and the span
+    # store takes per-thread locks; the server tests drive them from real
+    # worker threads, and the adaptive loopback test runs per-stream
+    # controllers on them.
     ctest --test-dir build-ci-tsan --output-on-failure -j "${jobs}" \
         -L 'telemetry|server|adaptive'
 }
@@ -149,8 +152,8 @@ run_batch() {
     # Differential coverage first (golden corpus through the batch
     # kernels, split-invariance, the short fuzz campaign), then the
     # throughput smoke: the batch API must beat the per-transaction API
-    # by the gate factor at batch >= 512 on at least one spec, and the
-    # sweep itself asserts BusStats field-identity at every batch size.
+    # by the gate factor at batch >= 512 on every spec, and the sweep
+    # itself asserts BusStats field-identity at every batch size.
     ctest --test-dir build-ci-release --output-on-failure -j "${jobs}" \
         -L 'batch|simd'
     # The SIMD floor only binds on hosts whose CPU can beat the word
@@ -242,7 +245,7 @@ run_serve() {
 
     # Plain background command (no subshell) so $! is bxtd itself and the
     # SIGTERM below reaches the daemon, not a wrapper. --trace-spans
-    # makes the drain write the merged Chrome span trace artifact.
+    # makes the drain write the Chrome span trace artifact.
     ./build-ci-release/tools/bxtd --unix "${sock}" --threads 4 \
         --trace-spans "${out}/server_spans.json" \
         > "${out}/bxtd.log" 2>&1 &
@@ -321,10 +324,17 @@ run_serve() {
         return 1
     fi
     grep -q "drained, exiting" "${out}/bxtd.log"
-    # The drain wrote the merged span trace (the traced burst sampled
-    # ~1 % of 4000 requests, so it cannot be empty).
+    # The drain wrote the span trace (the traced burst sampled ~1 % of
+    # 4000 requests, so it cannot be empty). Those spans fit in the
+    # shards' span buffers many times over, so any drop is a defect.
     ./build-ci-release/tools/bxt_report --validate-trace \
         "${out}/server_spans.json"
+    python3 - "${out}/server_spans.json" <<'PY'
+import json, sys
+dropped = json.load(open(sys.argv[1]))["otherData"]["droppedSpans"]
+if dropped != 0:
+    sys.exit(f"server_spans.json: {dropped} spans dropped, want 0")
+PY
     echo "serve: clean drain; BENCH_server_loadgen.json, trace-overhead" \
         "gate, server_spans.json + server_snapshot.json written"
 }

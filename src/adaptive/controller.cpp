@@ -1,13 +1,11 @@
 #include "adaptive/controller.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <limits>
 
-#include "common/bitops.h"
 #include "common/error.h"
 #include "core/codec_factory.h"
 
@@ -298,68 +296,6 @@ Controller::evaluate()
     active_ = best;
     ++epoch_;
     return true;
-}
-
-Sensors
-Controller::sensors() const
-{
-    Sensors s;
-    s.samples = ring_.size();
-    if (ring_.empty() || ring_.txBytes() == 0)
-        return s;
-
-    const std::size_t tx_bytes = ring_.txBytes();
-    std::uint64_t zero_words = 0;
-    std::uint64_t total_words = 0;
-    std::array<double, kToggleGranularities.size()> toggle_sum{};
-    std::array<std::uint64_t, kToggleGranularities.size()> toggle_n{};
-    std::uint64_t heavy_beats = 0;
-    std::uint64_t total_beats = 0;
-    const std::size_t bus_bytes = std::max<std::size_t>(1, config_.busBytes);
-
-    for (std::size_t t = 0; t < ring_.size(); ++t) {
-        const std::uint8_t *tx = ring_.tx(t).data();
-        for (std::size_t off = 0; off + 4 <= tx_bytes; off += 4) {
-            std::uint32_t word;
-            std::memcpy(&word, tx + off, 4);
-            zero_words += word == 0;
-            ++total_words;
-        }
-        for (std::size_t g = 0; g < kToggleGranularities.size(); ++g) {
-            const std::size_t gran = kToggleGranularities[g];
-            if (tx_bytes < 2 * gran)
-                continue;
-            for (std::size_t off = gran; off + gran <= tx_bytes;
-                 off += gran) {
-                std::uint64_t toggles = 0;
-                for (std::size_t b = 0; b < gran; ++b)
-                    toggles += static_cast<std::uint64_t>(
-                        std::popcount(static_cast<unsigned>(
-                            tx[off + b] ^ tx[off - gran + b])));
-                toggle_sum[g] += static_cast<double>(toggles) /
-                                 static_cast<double>(gran * 8);
-                ++toggle_n[g];
-            }
-        }
-        for (std::size_t off = 0; off + bus_bytes <= tx_bytes;
-             off += bus_bytes) {
-            heavy_beats +=
-                popcountBytes({tx + off, bus_bytes}) > bus_bytes * 8 / 2;
-            ++total_beats;
-        }
-    }
-
-    if (total_words != 0)
-        s.zeroWordFrac = static_cast<double>(zero_words) /
-                         static_cast<double>(total_words);
-    for (std::size_t g = 0; g < kToggleGranularities.size(); ++g)
-        if (toggle_n[g] != 0)
-            s.toggleWeight[g] =
-                toggle_sum[g] / static_cast<double>(toggle_n[g]);
-    if (total_beats != 0)
-        s.dbiWeight = static_cast<double>(heavy_beats) /
-                      static_cast<double>(total_beats);
-    return s;
 }
 
 void

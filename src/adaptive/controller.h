@@ -7,10 +7,8 @@
  * wins across data families: zero-heavy integer streams want ZDR, float
  * walks want a Base+XOR granularity matched to the element size, and
  * high-entropy streams are best left unencoded. The Controller closes
- * that loop at runtime. It samples a sliding window of transactions,
- * derives the value statistics the choice depends on (zero-word
- * fraction, per-granularity XOR toggle weight, a DBI weight estimate),
- * and scores every concrete candidate spec with a cost model that is
+ * that loop at runtime. It samples a sliding window of transactions and
+ * scores every concrete candidate spec with a cost model that is
  * calibrated against measured ones-on-bus: each candidate encodes the
  * sampled window and its cost is the exact payload+metadata ones it
  * would have put on the wire. The cheapest candidate becomes the active
@@ -26,7 +24,6 @@
 #ifndef BXT_ADAPTIVE_CONTROLLER_H
 #define BXT_ADAPTIVE_CONTROLLER_H
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -83,29 +80,6 @@ bool parseAdaptiveSpec(const std::string &spec, std::size_t bus_bytes,
 /** The canonical round-trippable spec string for @p config. */
 std::string canonicalSpec(const Config &config);
 
-/** XOR toggle-weight granularities the sensors track (element bytes). */
-inline constexpr std::array<std::size_t, 4> kToggleGranularities{2, 4, 8,
-                                                                 16};
-
-/** Windowed value statistics over the sampled transactions. */
-struct Sensors
-{
-    /** Fraction of zero 32-bit words (ZDR's favourite food). */
-    double zeroWordFrac = 0.0;
-
-    /** Mean fraction of bits toggling between adjacent g-byte elements
-     *  within a transaction, per kToggleGranularities entry; 0 when the
-     *  transaction holds fewer than two such elements. */
-    std::array<double, kToggleGranularities.size()> toggleWeight{};
-
-    /** Fraction of bus beats whose popcount exceeds half the bus width
-     *  (the beats DBI would invert). */
-    double dbiWeight = 0.0;
-
-    /** Transactions currently in the window. */
-    std::size_t samples = 0;
-};
-
 /**
  * The per-stream selection engine. Not thread-safe: one Controller per
  * stream per connection, exactly like the codec instances it manages.
@@ -160,9 +134,6 @@ class Controller
     /** Feed a completed batch into the sampled window (stride-sampled
      *  so a huge batch costs at most `window` copies). */
     void observe(const TxBatch &batch);
-
-    /** Compute the windowed value statistics (walks the window). */
-    Sensors sensors() const;
 
     /** Mean measured ones-on-bus per transaction per candidate at the
      *  last evaluation (empty before the first). Test/display hook. */

@@ -145,7 +145,7 @@ std::string
 Server::mergedSnapshotJson() const
 {
     telemetry::Registry merged;
-    // Process-wide instruments first (span ring, bus, pool, codec-layer
+    // Process-wide instruments first (span, bus, pool, codec-layer
     // counters pinned to the default registry).
     merged.mergeFrom(telemetry::defaultRegistry());
     for (const auto &shard : shards_) {

@@ -325,8 +325,8 @@ Service::handleEncode(const wire::Frame &request)
             stream.txEncoded.add(count);
             stream.onesIn.add(input_ones);
             stream.onesOut.add(payload_ones + meta_ones);
-            // Windowed value statistics over the raw input plane — the
-            // adaptive-codec sensor (see StreamCounters).
+            // Windowed value statistics over the raw input plane (see
+            // StreamCounters).
             stream.observe(
                 zeroWordFraction(raw, count * tx_bytes),
                 xorToggleWeight(raw, count, tx_bytes));

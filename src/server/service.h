@@ -98,8 +98,10 @@ class Service
      * Beyond the telescoping counters, each stream keeps a sliding
      * window of per-request value statistics — the zero-word fraction
      * of the raw input plane and the adjacent-transaction XOR toggle
-     * weight — exported as gauges: the sensors the adaptive controller
-     * cost model reads (DESIGN.md §13).
+     * weight — exported as gauges (the `window_*` columns of bxt_top).
+     * These are the only value sensors: the adaptive controller
+     * measures its candidates by encoding its window instead
+     * (DESIGN.md §13).
      */
     struct StreamCounters
     {

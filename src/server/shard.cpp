@@ -8,7 +8,6 @@
 #include <cerrno>
 
 #include "server/server.h"
-#include "telemetry/spanring.h"
 #include "telemetry/trace.h"
 
 namespace bxt::server {
@@ -320,37 +319,30 @@ Shard::processFrames(Conn &conn)
             return false;
         if (metrics_on && !conn.batchSpans.empty()) {
             const std::uint64_t t_write_end = telemetry::nowMicros();
-            const std::uint32_t tid = telemetry::currentThreadId();
             for (const Conn::PendingSpan &pending : conn.batchSpans) {
                 requestUs_.record(t_write_end - conn.tFeed);
                 if (!pending.sampled || pending.traceId == 0)
                     continue;
-                telemetry::ServerSpan span;
+                telemetry::TraceEvent span;
+                span.category = "bxt.server";
                 span.traceId = pending.traceId;
                 span.spanId = pending.spanId;
-                span.phase = telemetry::ServerPhase::Request;
                 span.opcode = pending.opcode;
                 span.streamId = pending.streamId;
-                span.tid = tid;
                 span.txCount = pending.txCount;
-                const auto emit = [&span](telemetry::ServerPhase phase,
+                const auto emit = [&span](const char *phase,
                                           std::uint64_t start,
                                           std::uint64_t end) {
-                    span.phase = phase;
+                    span.name = phase;
                     span.startUs = start;
-                    span.durUs = end - start;
-                    telemetry::recordServerSpan(span);
+                    span.durationUs = end - start;
+                    telemetry::recordSpan(span);
                 };
-                emit(telemetry::ServerPhase::Request, conn.tFeed,
-                     t_write_end);
-                emit(telemetry::ServerPhase::QueueWait, conn.tFeed,
-                     pending.tParseStart);
-                emit(telemetry::ServerPhase::Parse, pending.tParseStart,
-                     pending.tParseEnd);
-                emit(telemetry::ServerPhase::Codec, pending.tParseEnd,
-                     pending.tHandleEnd);
-                emit(telemetry::ServerPhase::Reply, pending.tHandleEnd,
-                     t_write_end);
+                emit("request", conn.tFeed, t_write_end);
+                emit("queue_wait", conn.tFeed, pending.tParseStart);
+                emit("parse", pending.tParseStart, pending.tParseEnd);
+                emit("codec", pending.tParseEnd, pending.tHandleEnd);
+                emit("reply", pending.tHandleEnd, t_write_end);
             }
         }
         if (bad_stream)

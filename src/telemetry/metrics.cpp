@@ -5,7 +5,6 @@
 #include <map>
 #include <mutex>
 
-#include "telemetry/spanring.h"
 #include "telemetry/trace.h"
 
 namespace bxt::telemetry {
@@ -318,7 +317,6 @@ resetForTest()
 {
     defaultRegistry().reset();
     clearTraceBuffer();
-    clearServerSpans();
 }
 
 } // namespace bxt::telemetry

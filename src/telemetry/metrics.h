@@ -63,10 +63,10 @@ metricsEnabled()
 void setMetricsEnabled(bool on);
 
 /**
- * Zero every instrument of the default registry and clear the span and
- * trace buffers. Registered instruments stay registered (call sites
- * hold references). Shard-private registries are untouched — they die
- * with their owner. Test-only.
+ * Zero every instrument of the default registry and clear the span
+ * store. Registered instruments stay registered (call sites hold
+ * references). Shard-private registries are untouched — they die with
+ * their owner. Test-only.
  */
 void resetForTest();
 

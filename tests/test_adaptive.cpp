@@ -4,9 +4,9 @@
  * candidate validation, the controller's calibrated cost model (it must
  * pick whichever candidate measurably wins on the sampled window),
  * differential byte-identity against the chosen concrete codec across
- * forced switch points, hysteresis no-flap behaviour, sensor sanity,
- * and a loopback end-to-end run where the announced spec follows a
- * mid-stream data-family migration.
+ * forced switch points, hysteresis no-flap behaviour, and a loopback
+ * end-to-end run where the announced spec follows a mid-stream
+ * data-family migration.
  */
 
 #include <gtest/gtest.h>
@@ -247,32 +247,6 @@ TEST(AdaptiveController, HysteresisHoldsNearTiedSpecs)
     EXPECT_EQ(eager->activeSpec(), "baseline");
 }
 
-TEST(AdaptiveController, SensorsMatchConstructedWindow)
-{
-    // Words alternate 0x00000000 / 0xFFFFFFFF: half the 32-bit words are
-    // zero, half the 4-byte beats are heavy, and adjacent 4-byte
-    // elements toggle every bit.
-    TxBatch batch;
-    batch.reset(kTxBytes);
-    batch.resizeForOverwrite(8);
-    std::uint8_t *bytes = batch.data();
-    for (std::size_t i = 0; i < 8 * kTxBytes; ++i)
-        bytes[i] = (i / 4) % 2 == 0 ? 0x00 : 0xff;
-
-    std::string err;
-    auto controller =
-        adaptive::Controller::make(twoCandidateConfig(10.0), err);
-    ASSERT_NE(controller, nullptr) << err;
-    controller->observe(batch);
-
-    const adaptive::Sensors sensors = controller->sensors();
-    EXPECT_EQ(sensors.samples, 8u);
-    EXPECT_NEAR(sensors.zeroWordFrac, 0.5, 1e-9);
-    EXPECT_NEAR(sensors.dbiWeight, 0.5, 1e-9);
-    // kToggleGranularities[1] is the 4-byte granularity.
-    EXPECT_NEAR(sensors.toggleWeight[1], 1.0, 1e-9);
-}
-
 TEST(AdaptiveController, ResetDropsHistoryAndChoice)
 {
     std::string err;
@@ -289,7 +263,6 @@ TEST(AdaptiveController, ResetDropsHistoryAndChoice)
     EXPECT_EQ(controller->activeIndex(), 0u);
     EXPECT_EQ(controller->epoch(), 0u);
     EXPECT_EQ(controller->observed(), 0u);
-    EXPECT_EQ(controller->sensors().samples, 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -32,7 +32,7 @@
 #include "server/wire.h"
 #include "telemetry/metrics.h"
 #include "telemetry/snapshot.h"
-#include "telemetry/spanring.h"
+#include "telemetry/trace.h"
 #include "verify/golden.h"
 #include "workloads/scenario.h"
 
@@ -907,7 +907,6 @@ TEST(Loopback, TracedRequestSpansTelescopeExactly)
 {
     telemetry::resetForTest();
     telemetry::setMetricsEnabled(true);
-    telemetry::clearServerSpans();
     LiveServer live(ephemeralTcpOptions());
     ASSERT_TRUE(live.started());
 
@@ -920,7 +919,7 @@ TEST(Loopback, TracedRequestSpansTelescopeExactly)
     client::EncodeResult enc;
     const std::vector<std::uint8_t> raw(4 * 32, 0xa5);
     ASSERT_TRUE(client.encode("xor4+zdr", 32, 32, raw, enc, err)) << err;
-    EXPECT_TRUE(telemetry::collectServerSpans().empty());
+    EXPECT_TRUE(telemetry::traceEvents().empty());
 
     // …a traced one records all five lifecycle phases. The server stamps
     // the spans just after the reply write, so poll briefly: the client
@@ -930,17 +929,16 @@ TEST(Loopback, TracedRequestSpansTelescopeExactly)
     ASSERT_TRUE(client.encode("xor4+zdr", 32, 32, raw, enc, err)) << err;
     client.clearTrace();
 
-    std::map<telemetry::ServerPhase, telemetry::ServerSpan> by_phase;
+    std::map<std::string, telemetry::TraceEvent> by_phase;
     for (int attempt = 0; attempt < 500 && by_phase.size() < 5;
          ++attempt) {
-        for (const telemetry::ServerSpan &span :
-             telemetry::collectServerSpans()) {
+        by_phase.clear();
+        for (const telemetry::TraceEvent &span : telemetry::traceEvents()) {
             if (span.traceId != trace_id)
                 continue;
-            EXPECT_EQ(by_phase.count(span.phase), 0u)
-                << "duplicate phase "
-                << telemetry::serverPhaseName(span.phase);
-            by_phase[span.phase] = span;
+            EXPECT_EQ(by_phase.count(span.name), 0u)
+                << "duplicate phase " << span.name;
+            by_phase[span.name] = span;
         }
         if (by_phase.size() < 5)
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -948,8 +946,7 @@ TEST(Loopback, TracedRequestSpansTelescopeExactly)
     ASSERT_EQ(by_phase.size(), 5u)
         << "expected request/parse/queue_wait/codec/reply spans";
 
-    const telemetry::ServerSpan &request =
-        by_phase.at(telemetry::ServerPhase::Request);
+    const telemetry::TraceEvent &request = by_phase.at("request");
     EXPECT_EQ(request.spanId, 77u);
     EXPECT_EQ(request.opcode,
               static_cast<std::uint8_t>(wire::Opcode::Encode));
@@ -960,32 +957,33 @@ TEST(Loopback, TracedRequestSpansTelescopeExactly)
     // of every boundary, so the identity holds with zero tolerance.
     std::uint64_t phase_sum = 0;
     for (const auto &[phase, span] : by_phase) {
-        if (phase == telemetry::ServerPhase::Request)
+        if (phase == "request")
             continue;
         EXPECT_GE(span.startUs, request.startUs);
-        EXPECT_LE(span.startUs + span.durUs,
-                  request.startUs + request.durUs);
-        phase_sum += span.durUs;
+        EXPECT_LE(span.startUs + span.durationUs,
+                  request.startUs + request.durationUs);
+        phase_sum += span.durationUs;
     }
-    EXPECT_EQ(phase_sum, request.durUs);
-    EXPECT_GE(telemetry::serverSpansRecorded(), 5u);
-    EXPECT_EQ(telemetry::serverSpansDropped(), 0u);
+    EXPECT_EQ(phase_sum, request.durationUs);
+    EXPECT_GE(telemetry::recordedSpans(), 5u);
+    EXPECT_EQ(telemetry::droppedSpans(), 0u);
 
-    // A second traced request feeds the merged Chrome-trace export.
-    // Wait for its five spans to be pushed (pushes are counted at
-    // record time, independent of collection).
+    // A second traced request feeds the Chrome-trace export. Wait for
+    // its five spans to be recorded.
     client.setTrace(trace_id + 1, /*span_id=*/78, /*sampled=*/true);
     ASSERT_TRUE(client.encode("xor4+zdr", 32, 32, raw, enc, err)) << err;
     client.clearTrace();
     for (int attempt = 0;
-         attempt < 500 && telemetry::serverSpansRecorded() < 10;
+         attempt < 500 && telemetry::recordedSpans() < 10;
          ++attempt)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
     const std::string path =
         (std::filesystem::temp_directory_path() /
          ("bxt_spans_" + std::to_string(::getpid()) + ".json"))
             .string();
-    ASSERT_TRUE(telemetry::writeServerSpanTrace(path));
+    telemetry::setTraceEnabled(true);
+    ASSERT_TRUE(telemetry::writeTrace(path));
+    telemetry::setTraceEnabled(false);
     std::ifstream in(path);
     std::stringstream buffer;
     buffer << in.rdbuf();
@@ -995,6 +993,68 @@ TEST(Loopback, TracedRequestSpansTelescopeExactly)
     EXPECT_NE(trace.find("0102030405060709"), std::string::npos);
     EXPECT_NE(trace.find("\"droppedSpans\""), std::string::npos);
     std::filesystem::remove(path);
+    telemetry::setMetricsEnabled(false);
+}
+
+TEST(Loopback, TracedBurstOnOneShardKeepsEverySpan)
+{
+    // 1,000 sampled encodes on one shard record 5,000 spans into that
+    // shard's buffer (well past 4,096); the written trace must carry
+    // every one of them.
+    constexpr std::uint64_t requests = 1000;
+    telemetry::resetForTest();
+    telemetry::setMetricsEnabled(true);
+    server::ServerOptions options = ephemeralTcpOptions();
+    options.shards = 1;
+    LiveServer live(options);
+    ASSERT_TRUE(live.started());
+
+    std::string err;
+    client::Client client =
+        client::Client::connectTcp("127.0.0.1", live.tcpPort(), err);
+    ASSERT_TRUE(client.connected()) << err;
+    client::EncodeResult enc;
+    const std::vector<std::uint8_t> raw(4 * 32, 0x5a);
+    for (std::uint64_t i = 0; i < requests; ++i) {
+        client.setTrace(0x1000 + i, /*span_id=*/i, /*sampled=*/true);
+        ASSERT_TRUE(client.encode("xor4+zdr", 32, 32, raw, enc, err))
+            << err;
+    }
+    client.clearTrace();
+    // The shard records a request's spans just after writing its reply.
+    for (int attempt = 0;
+         attempt < 1000 && telemetry::recordedSpans() < 5 * requests;
+         ++attempt)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(telemetry::recordedSpans(), 5 * requests);
+
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("bxt_burst_spans_" + std::to_string(::getpid()) + ".json"))
+            .string();
+    telemetry::setTraceEnabled(true);
+    ASSERT_TRUE(telemetry::writeTrace(path));
+    telemetry::setTraceEnabled(false);
+    std::ifstream in(path);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    JsonValue doc;
+    ASSERT_TRUE(parseJson(buffer.str(), doc, &err)) << err;
+    std::filesystem::remove(path);
+
+    const JsonValue *events = doc.find("traceEvents");
+    ASSERT_NE(events, nullptr);
+    ASSERT_EQ(events->array.size(), 5 * requests);
+    std::map<std::string, std::uint64_t> per_phase;
+    for (const JsonValue &event : events->array)
+        ++per_phase[event.find("name")->string];
+    for (const char *phase :
+         {"request", "queue_wait", "parse", "codec", "reply"})
+        EXPECT_EQ(per_phase[phase], requests) << phase;
+    const JsonValue *other = doc.find("otherData");
+    ASSERT_NE(other, nullptr);
+    EXPECT_EQ(other->find("droppedSpans")->number, 0.0);
+    EXPECT_EQ(telemetry::counter("bxt.server.spans_dropped").value(), 0u);
     telemetry::setMetricsEnabled(false);
 }
 

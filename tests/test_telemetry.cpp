@@ -20,6 +20,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "channel/channel_eval.h"
 #include "common/json.h"
 #include "common/parallel.h"
@@ -27,7 +29,6 @@
 #include "core/codec_factory.h"
 #include "telemetry/metrics.h"
 #include "telemetry/snapshot.h"
-#include "telemetry/spanring.h"
 #include "telemetry/trace.h"
 #include "verify/reference_bus.h"
 #include "workloads/patterns.h"
@@ -335,6 +336,7 @@ TEST_F(TelemetryTest, ScopedSpansExportAsChromeTrace)
         EXPECT_EQ(member(event, "ph").string, "X");
         EXPECT_TRUE(member(event, "ts").isNumber());
         EXPECT_TRUE(member(event, "dur").isNumber());
+        EXPECT_EQ(event.find("args"), nullptr); // Not a request span.
     }
     std::filesystem::remove(path);
 }
@@ -352,111 +354,159 @@ TEST_F(TelemetryTest, DisabledSpansRecordNothing)
             .string()));
 }
 
-tm::ServerSpan
+/** Request span @p i (trace id i + 1, so ids stay non-zero). */
+tm::TraceEvent
 makeSpan(std::uint64_t i)
 {
-    tm::ServerSpan span;
+    static const char *const phases[] = {"request", "queue_wait", "parse",
+                                         "codec", "reply"};
+    tm::TraceEvent span;
+    span.name = phases[i % 5];
+    span.category = "bxt.server";
     span.traceId = i + 1;
     span.spanId = 2 * i + 1;
     span.startUs = 1000 + i;
-    span.durUs = i % 977;
-    span.phase = static_cast<tm::ServerPhase>(i % 5);
+    span.durationUs = i % 977;
     span.opcode = 2;
     span.streamId = static_cast<std::uint16_t>(i % 5);
-    span.tid = 7;
     span.txCount = static_cast<std::uint32_t>(i % 64);
+    return span;
+}
+
+/** makeSpan(i) as recordSpan stores it from the calling thread. */
+tm::TraceEvent
+recordedSpan(std::uint64_t i)
+{
+    tm::TraceEvent span = makeSpan(i);
+    span.tid = tm::currentThreadId();
     return span;
 }
 
 TEST_F(TelemetryTest, SpanRingRoundTripsInPushOrder)
 {
-    auto ring = std::make_unique<tm::SpanRing>();
     for (std::uint64_t i = 0; i < 100; ++i)
-        ring->push(makeSpan(i));
-    EXPECT_EQ(ring->pushed(), 100u);
-    EXPECT_EQ(ring->dropped(), 0u);
+        tm::recordSpan(makeSpan(i));
+    EXPECT_EQ(tm::recordedSpans(), 100u);
+    EXPECT_EQ(tm::droppedSpans(), 0u);
 
-    std::vector<tm::ServerSpan> collected;
-    EXPECT_EQ(ring->drainInto(collected), 100u);
+    const std::vector<tm::TraceEvent> collected = tm::traceEvents();
     ASSERT_EQ(collected.size(), 100u);
     for (std::uint64_t i = 0; i < 100; ++i)
-        EXPECT_EQ(collected[i], makeSpan(i)) << i;
+        EXPECT_EQ(collected[i], recordedSpan(i)) << i;
 
-    // A second drain finds nothing new.
-    EXPECT_EQ(ring->drainInto(collected), 0u);
+    // Collection does not consume: a second copy is identical.
+    EXPECT_EQ(tm::traceEvents(), collected);
 }
 
 TEST_F(TelemetryTest, SpanRingWraparoundDropsOldestAndCounts)
 {
     constexpr std::uint64_t extra = 100;
-    auto ring = std::make_unique<tm::SpanRing>();
-    for (std::uint64_t i = 0; i < tm::SpanRing::capacity + extra; ++i)
-        ring->push(makeSpan(i));
-    EXPECT_EQ(ring->pushed(), tm::SpanRing::capacity + extra);
-    EXPECT_EQ(ring->dropped(), extra);
+    for (std::uint64_t i = 0; i < tm::spanBufferCap + extra; ++i)
+        tm::recordSpan(makeSpan(i));
+    EXPECT_EQ(tm::recordedSpans(), tm::spanBufferCap + extra);
+    EXPECT_EQ(tm::droppedSpans(), extra);
+    EXPECT_EQ(tm::counter("bxt.server.spans_dropped").value(), extra);
 
-    // The survivors are exactly the newest `capacity` spans, in order.
-    std::vector<tm::ServerSpan> collected;
-    EXPECT_EQ(ring->drainInto(collected), tm::SpanRing::capacity);
-    ASSERT_EQ(collected.size(), tm::SpanRing::capacity);
-    EXPECT_EQ(collected.front(), makeSpan(extra));
-    EXPECT_EQ(collected.back(),
-              makeSpan(tm::SpanRing::capacity + extra - 1));
+    // The survivors are exactly the newest `cap` spans, in order.
+    const std::vector<tm::TraceEvent> collected = tm::traceEvents();
+    ASSERT_EQ(collected.size(), tm::spanBufferCap);
+    for (std::uint64_t i = 0; i < tm::spanBufferCap; ++i)
+        ASSERT_EQ(collected[i], recordedSpan(extra + i)) << i;
 }
 
 TEST_F(TelemetryTest, SpanRingConcurrentDrainLosesNothing)
 {
-    constexpr std::uint64_t total = 200000;
-    auto ring = std::make_unique<tm::SpanRing>();
-    std::atomic<bool> done{false};
-    std::vector<tm::ServerSpan> collected;
-
-    std::thread producer([&] {
-        for (std::uint64_t i = 0; i < total; ++i)
-            ring->push(makeSpan(i));
-        done.store(true, std::memory_order_release);
-    });
-    while (!done.load(std::memory_order_acquire))
-        ring->drainInto(collected);
-    ring->drainInto(collected);
-    producer.join();
-
-    // Accounting is exact even under wraparound: every span was either
-    // collected or counted as dropped, and collected trace ids ascend
-    // (drains preserve push order; torn slots are skipped, not mangled).
-    EXPECT_EQ(collected.size() + ring->dropped(), total);
-    std::uint64_t prev_id = 0;
-    for (const tm::ServerSpan &span : collected) {
-        EXPECT_GT(span.traceId, prev_id);
-        EXPECT_EQ(span, makeSpan(span.traceId - 1));
-        prev_id = span.traceId;
+    // Two recording threads wrap their buffers while the main thread
+    // collects and writes the trace; afterwards every span is resident
+    // or counted as dropped, none twice. Run under ThreadSanitizer via
+    // `ci.sh tsan`.
+    constexpr std::uint64_t perThread = tm::spanBufferCap + 5000;
+    tm::setTraceEnabled(true);
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("bxt_spans_concurrent_" + std::to_string(::getpid()) + ".json"))
+            .string();
+    std::atomic<int> running{2};
+    std::vector<std::thread> producers;
+    for (std::uint64_t t = 0; t < 2; ++t) {
+        producers.emplace_back([t, &running] {
+            for (std::uint64_t i = 0; i < perThread; ++i)
+                tm::recordSpan(makeSpan(t * perThread + i));
+            running.fetch_sub(1, std::memory_order_release);
+        });
     }
+    std::size_t writes = 0;
+    while (running.load(std::memory_order_acquire) > 0) {
+        const std::vector<tm::TraceEvent> events = tm::traceEvents();
+        EXPECT_LE(events.size(), 2 * tm::spanBufferCap);
+        ASSERT_TRUE(tm::writeTrace(path));
+        ++writes;
+    }
+    for (std::thread &producer : producers)
+        producer.join();
+    EXPECT_GT(writes, 0u);
+
+    const std::vector<tm::TraceEvent> events = tm::traceEvents();
+    EXPECT_EQ(tm::recordedSpans(), 2 * perThread);
+    EXPECT_EQ(tm::recordedSpans(), events.size() + tm::droppedSpans());
+    EXPECT_EQ(events.size(), 2 * tm::spanBufferCap);
+    // Each thread's survivors are its newest spans, in record order, so
+    // trace ids ascend within a thread and no span appears twice.
+    std::map<std::uint32_t, std::uint64_t> last_id;
+    for (const tm::TraceEvent &event : events) {
+        std::uint64_t &prev = last_id[event.tid];
+        EXPECT_GT(event.traceId, prev);
+        prev = event.traceId;
+        tm::TraceEvent want = makeSpan(event.traceId - 1);
+        want.tid = event.tid;
+        EXPECT_EQ(event, want);
+    }
+    EXPECT_EQ(last_id.size(), 2u);
+
+    // The last write saw the finished store: every span it lacks is
+    // counted in droppedSpans.
+    ASSERT_TRUE(tm::writeTrace(path));
+    std::ifstream in(path);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(parseJson(text, doc, &error)) << error;
+    EXPECT_EQ(member(doc, "traceEvents").array.size(), events.size());
+    EXPECT_EQ(member(member(doc, "otherData"), "droppedSpans").number,
+              static_cast<double>(2 * perThread - events.size()));
+    std::filesystem::remove(path);
 }
 
 TEST_F(TelemetryTest, RecordServerSpanFeedsRegistryAndCounters)
 {
     for (std::uint64_t i = 0; i < 10; ++i)
-        tm::recordServerSpan(makeSpan(i));
+        tm::recordSpan(makeSpan(i));
+    // A plain ScopedSpan-style record is stored but is no server span.
+    tm::TraceEvent plain;
+    plain.name = "plain";
+    tm::recordSpan(plain);
     EXPECT_EQ(tm::counter("bxt.server.spans_recorded").value(), 10u);
     EXPECT_EQ(tm::counter("bxt.server.spans_dropped").value(), 0u);
-    EXPECT_GE(tm::serverSpansRecorded(), 10u);
+    EXPECT_EQ(tm::recordedSpans(), 11u);
 
-    const std::vector<tm::ServerSpan> spans = tm::collectServerSpans();
-    ASSERT_EQ(spans.size(), 10u);
+    const std::vector<tm::TraceEvent> spans = tm::traceEvents();
+    ASSERT_EQ(spans.size(), 11u);
     for (std::uint64_t i = 0; i < 10; ++i)
-        EXPECT_EQ(spans[i], makeSpan(i));
-    // Exactly-once delivery across collects.
-    EXPECT_TRUE(tm::collectServerSpans().empty());
+        EXPECT_EQ(spans[i], recordedSpan(i));
+    EXPECT_EQ(spans[10].name, "plain");
 }
 
 TEST_F(TelemetryTest, ServerSpanTraceExportsChromeJson)
 {
-    tm::recordServerSpan(makeSpan(3));
-    tm::recordServerSpan(makeSpan(4));
+    tm::setTraceEnabled(true);
+    tm::recordSpan(makeSpan(3));
+    tm::recordSpan(makeSpan(4));
     const std::string path =
         (std::filesystem::temp_directory_path() / "bxt_spans_test.json")
             .string();
-    ASSERT_TRUE(tm::writeServerSpanTrace(path));
+    ASSERT_TRUE(tm::writeTrace(path));
+    EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
 
     std::ifstream in(path);
     ASSERT_TRUE(in.good());
@@ -477,16 +527,19 @@ TEST_F(TelemetryTest, ServerSpanTraceExportsChromeJson)
         const JsonValue &args = member(event, "args");
         EXPECT_EQ(member(args, "trace_id").string.size(), 16u);
         EXPECT_TRUE(member(args, "span_id").isNumber());
+        EXPECT_TRUE(member(args, "stream").isNumber());
+        EXPECT_TRUE(member(args, "op").isNumber());
+        EXPECT_TRUE(member(args, "txs").isNumber());
     }
     EXPECT_EQ(member(member(doc, "otherData"), "droppedSpans").number,
               0.0);
     std::filesystem::remove(path);
 
-    // The export accumulates already-drained spans: a second write after
-    // new records contains all four.
-    tm::recordServerSpan(makeSpan(5));
-    tm::recordServerSpan(makeSpan(6));
-    ASSERT_TRUE(tm::writeServerSpanTrace(path));
+    // Writing does not consume the store: a second write after new
+    // records contains all four.
+    tm::recordSpan(makeSpan(5));
+    tm::recordSpan(makeSpan(6));
+    ASSERT_TRUE(tm::writeTrace(path));
     std::ifstream again(path);
     const std::string text2((std::istreambuf_iterator<char>(again)),
                             std::istreambuf_iterator<char>());
@@ -498,7 +551,7 @@ TEST_F(TelemetryTest, ServerSpanTraceExportsChromeJson)
 /**
  * Concurrency acceptance (ISSUE 8 satellite): snapshotJson must stay
  * parseable and self-consistent while writer threads hammer every
- * instrument kind and the span rings. Run under ThreadSanitizer via
+ * instrument kind and the span store. Run under ThreadSanitizer via
  * `ci.sh tsan`.
  */
 TEST_F(TelemetryTest, SnapshotWhileWritersActive)
@@ -523,7 +576,7 @@ TEST_F(TelemetryTest, SnapshotWhileWritersActive)
                 gauge.set(static_cast<double>(i));
                 histo.record(i);
                 if (i % 64 == 0)
-                    tm::recordServerSpan(makeSpan(t * perWriter + i));
+                    tm::recordSpan(makeSpan(t * perWriter + i));
             }
             running.fetch_sub(1, std::memory_order_release);
         });
@@ -544,7 +597,7 @@ TEST_F(TelemetryTest, SnapshotWhileWritersActive)
             bucket_sum += pair.array[1].number;
         EXPECT_GE(bucket_sum + 0.5, member(histo, "total").number);
         ++parses;
-        (void)tm::collectServerSpans(); // Concurrent drain, too.
+        (void)tm::traceEvents(); // Concurrent collection, too.
     }
     for (std::thread &thread : threads)
         thread.join();

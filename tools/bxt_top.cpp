@@ -20,7 +20,7 @@
  *    streams running the `adaptive` spec — the concrete codec the
  *    per-stream controller currently selects plus its switch count;
  *  - per-spec ones-on-bus deltas;
- *  - span-ring health (recorded/dropped) for the tracing pipeline.
+ *  - span-store health (recorded/dropped) for the tracing pipeline.
  *
  * Rates use the server's uptime_us delta, not the local clock, so a
  * stalled poller never inflates them.

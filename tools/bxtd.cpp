@@ -9,9 +9,10 @@
  *        [--max-batch K] [--idle-timeout MS] [--max-pending N]
  *        [--trace-spans PATH]
  *
- * --trace-spans drains the per-worker span rings on shutdown and writes
- * the sampled request lifecycles as a Chrome trace-event JSON file
- * (load it in chrome://tracing or Perfetto).
+ * --trace-spans sets the trace path at start-up; on shutdown the drain
+ * writes the span store — the sampled request lifecycles each shard
+ * recorded — as a Chrome trace-event JSON file (load it in
+ * chrome://tracing or Perfetto).
  */
 
 #include <csignal>
@@ -22,7 +23,7 @@
 #include "common/cli.h"
 #include "server/server.h"
 #include "telemetry/metrics.h"
-#include "telemetry/spanring.h"
+#include "telemetry/trace.h"
 
 namespace {
 
@@ -120,6 +121,8 @@ main(int argc, char **argv)
     // bxt_report both read the live snapshot, so enable recording even
     // when BXT_METRICS is unset in the environment.
     bxt::telemetry::setMetricsEnabled(true);
+    if (!trace_spans_path.empty())
+        bxt::telemetry::setTracePath(trace_spans_path);
 
     bxt::server::Server server(options);
     std::string err;
@@ -150,14 +153,14 @@ main(int argc, char **argv)
 
     g_server = nullptr;
     if (!trace_spans_path.empty()) {
-        if (bxt::telemetry::writeServerSpanTrace(trace_spans_path)) {
+        if (bxt::telemetry::writeTrace(trace_spans_path)) {
             std::printf("bxtd: wrote request spans to %s "
                         "(%llu recorded, %llu dropped)\n",
                         trace_spans_path.c_str(),
                         static_cast<unsigned long long>(
-                            bxt::telemetry::serverSpansRecorded()),
+                            bxt::telemetry::recordedSpans()),
                         static_cast<unsigned long long>(
-                            bxt::telemetry::serverSpansDropped()));
+                            bxt::telemetry::droppedSpans()));
         } else {
             std::fprintf(stderr, "bxtd: failed to write spans to %s\n",
                          trace_spans_path.c_str());
