@@ -24,6 +24,8 @@
  *     `--simd-min-speedup F` gates the xor4+zdr encode batch-512 speedup
  *     of the best SIMD level over the word baseline, and skips with a
  *     note on hosts with no vector level.
+ *  5. CRC-32 rows: GB/s of every level's crc32Update entry (the bxtd
+ *     frame checksum) at 64 B, 5 KiB and 64 KiB. No gate.
  *
  * Every timed row is the median of five repetitions; figures a gate
  * reads run each repetition for at least 20 ms (passSeconds), and the
@@ -45,6 +47,7 @@
 #include "channel/channel_eval.h"
 #include "common/error.h"
 #include "common/parallel.h"
+#include "common/rng.h"
 #include "core/batch.h"
 #include "core/codec_factory.h"
 #include "core/simd/simd.h"
@@ -599,6 +602,60 @@ runSimdSweep(double *gate_out)
     return rows;
 }
 
+struct CrcRow
+{
+    simd::Level level = simd::Level::Scalar;
+    std::size_t bytes = 0;
+    double gbPerSecond = 0.0;
+};
+
+/** Buffer sizes of the CRC rows: a small frame, a serve-hot frame
+ *  (~5 KiB) and a large one. */
+constexpr std::size_t crcSweepSizes[] = {64, 5 * 1024, 64 * 1024};
+
+/**
+ * CRC-32 throughput of every level's crc32Update entry (scalar included:
+ * it is the bytewise reference), or of the forced BXT_SIMD level alone.
+ */
+std::vector<CrcRow>
+runCrcSweep()
+{
+    const simd::Level saved = simd::activeLevel();
+    const std::vector<simd::Level> levels =
+        simd::envForcedLevel().has_value()
+            ? std::vector<simd::Level>{saved}
+            : simd::supportedLevels();
+    Rng rng(0xC4C);
+    std::vector<std::uint8_t> buf(crcSweepSizes[2]);
+    for (std::uint8_t &byte : buf)
+        byte = static_cast<std::uint8_t>(rng.next64());
+
+    std::printf("\n--- CRC-32 (wire frame checksum) ---\n");
+    std::vector<CrcRow> rows;
+    for (simd::Level level : levels) {
+        simd::setActiveLevel(level);
+        const simd::KernelTable &ops = simd::ops();
+        for (std::size_t bytes : crcSweepSizes) {
+            std::uint32_t crc = 0;
+            const double seconds = medianPassSeconds(
+                [&] {
+                    crc = ops.crc32Update(crc, buf.data(), bytes);
+                    benchmark::DoNotOptimize(crc);
+                },
+                rowRepSeconds);
+            CrcRow row;
+            row.level = level;
+            row.bytes = bytes;
+            row.gbPerSecond = static_cast<double>(bytes) / seconds / 1.0e9;
+            std::printf("crc32 %-7s %6zu B  %7.2f GB/s\n",
+                        simd::levelName(level), bytes, row.gbPerSecond);
+            rows.push_back(row);
+        }
+    }
+    simd::setActiveLevel(saved);
+    return rows;
+}
+
 int
 runSuiteSweep(const std::string &json_path, double batch_min_speedup,
               double simd_min_speedup)
@@ -633,6 +690,7 @@ runSuiteSweep(const std::string &json_path, double batch_min_speedup,
     double simd_gate = -1.0;
     const std::vector<SimdRow> simd_rows = runSimdSweep(&simd_gate);
     const std::vector<simd::Level> simd_levels = simdSweepLevels();
+    const std::vector<CrcRow> crc_rows = runCrcSweep();
 
     const bool ok = writeBenchJson(
         json_path, "codec_throughput", [&](JsonWriter &w) {
@@ -695,6 +753,14 @@ runSuiteSweep(const std::string &json_path, double batch_min_speedup,
                 w.kv("decode_tx_per_s", row.decodeTxPerSecond);
                 w.kv("encode_speedup_vs_word", row.encodeSpeedupVsWord);
                 w.kv("decode_speedup_vs_word", row.decodeSpeedupVsWord);
+                w.endObject();
+            }
+            for (const CrcRow &row : crc_rows) {
+                w.beginObject();
+                w.kv("mode", "simd_crc32");
+                w.kv("simd_level", simd::levelName(row.level));
+                w.kv("bytes", static_cast<std::uint64_t>(row.bytes));
+                w.kv("gb_per_s", row.gbPerSecond);
                 w.endObject();
             }
         });

@@ -1,38 +1,23 @@
 /**
  * @file
  * CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320) used to integrity-
- * check frames on the bxtd wire protocol. Table-driven, one byte per step;
- * the table is built at compile time so there is no init-order dependency.
+ * check frames on the bxtd wire protocol. The work is the `crc32Update`
+ * primitive of the SIMD kernel table (core/simd/simd.h), so it follows
+ * the dispatch level like the codec kernels: a bytewise table loop at
+ * Scalar, slicing-by-8 at Word and Neon, 128-bit PCLMULQDQ folding at
+ * Avx2 and Avx512. Every level computes the same CRC, so frame bytes do
+ * not depend on the level either end runs.
  */
 
 #ifndef BXT_COMMON_CHECKSUM_H
 #define BXT_COMMON_CHECKSUM_H
 
-#include <array>
-#include <cstddef>
 #include <cstdint>
 #include <span>
 
+#include "core/simd/simd.h"
+
 namespace bxt {
-
-namespace detail {
-
-constexpr std::array<std::uint32_t, 256>
-makeCrc32Table()
-{
-    std::array<std::uint32_t, 256> table{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-        std::uint32_t crc = i;
-        for (int bit = 0; bit < 8; ++bit)
-            crc = (crc >> 1) ^ ((crc & 1u) ? 0xedb88320u : 0u);
-        table[i] = crc;
-    }
-    return table;
-}
-
-inline constexpr std::array<std::uint32_t, 256> crc32Table = makeCrc32Table();
-
-} // namespace detail
 
 /**
  * Update a running CRC32 with @p bytes. Start from crc32Init, finish with
@@ -44,9 +29,7 @@ constexpr std::uint32_t crc32Init = 0xffffffffu;
 inline std::uint32_t
 crc32Update(std::uint32_t crc, std::span<const std::uint8_t> bytes)
 {
-    for (const std::uint8_t byte : bytes)
-        crc = (crc >> 8) ^ detail::crc32Table[(crc ^ byte) & 0xffu];
-    return crc;
+    return simd::ops().crc32Update(crc, bytes.data(), bytes.size());
 }
 
 constexpr std::uint32_t

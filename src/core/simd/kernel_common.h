@@ -12,6 +12,7 @@
 #ifndef BXT_CORE_SIMD_KERNEL_COMMON_H
 #define BXT_CORE_SIMD_KERNEL_COMMON_H
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 
@@ -198,6 +199,63 @@ popcountXorWordRange(const std::uint8_t *a, const std::uint8_t *b,
         count += static_cast<std::uint64_t>(
             popcount64(static_cast<std::uint64_t>(a[i] ^ b[i])));
     return count;
+}
+
+/**
+ * CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) lookup tables for
+ * slicing-by-8. Row 0 is the classic byte table; row k is row k-1
+ * advanced over one more zero byte, so one 64-bit step can look up all
+ * eight input bytes independently. Built at compile time.
+ */
+using Crc32Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr Crc32Tables
+makeCrc32Tables()
+{
+    Crc32Tables tables{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+        std::uint32_t crc = i;
+        for (int bit = 0; bit < 8; ++bit)
+            crc = (crc >> 1) ^ ((crc & 1u) != 0 ? 0xedb88320u : 0u);
+        tables[0][i] = crc;
+    }
+    for (std::size_t k = 1; k < tables.size(); ++k) {
+        for (std::size_t i = 0; i < 256; ++i) {
+            const std::uint32_t prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xffu];
+        }
+    }
+    return tables;
+}
+
+inline constexpr Crc32Tables crc32Tables = makeCrc32Tables();
+
+/** Bytewise CRC-32 register update: the reference loop, and the tail
+ *  of the slicing and folding kernels. */
+inline std::uint32_t
+crc32BytewiseRange(std::uint32_t crc, const std::uint8_t *src, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        crc = (crc >> 8) ^ crc32Tables[0][(crc ^ src[i]) & 0xffu];
+    return crc;
+}
+
+/** Slicing-by-8 CRC-32 register update (little-endian word loads). */
+inline std::uint32_t
+crc32Slice8Range(std::uint32_t crc, const std::uint8_t *src, std::size_t n)
+{
+    const Crc32Tables &t = crc32Tables;
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        const std::uint64_t word = loadWord64(src + i) ^ crc;
+        const auto lo = static_cast<std::uint32_t>(word);
+        const auto hi = static_cast<std::uint32_t>(word >> 32);
+        crc = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+              t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^
+              t[3][hi & 0xffu] ^ t[2][(hi >> 8) & 0xffu] ^
+              t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+    }
+    return crc32BytewiseRange(crc, src + i, n - i);
 }
 
 } // namespace bxt::simd::detail

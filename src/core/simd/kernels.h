@@ -25,9 +25,19 @@ const KernelTable *avx2TableOrNull();
 const KernelTable *avx512TableOrNull();
 const KernelTable *neonTableOrNull();
 
-/** Runtime CPU support for the x86 tiers (always false off-x86). */
+/** Runtime CPU support for the x86 tiers (always false off-x86). Both
+ *  include PCLMULQDQ, which their shared CRC-32 entry needs. */
 bool cpuHasAvx2();
 bool cpuHasAvx512();
+
+/**
+ * CRC-32 register update by 128-bit PCLMULQDQ folding (crc32_pclmul.cpp):
+ * the crc32Update entry of both x86 vector tiers. Defined only when that
+ * TU is built with -msse4.1 -mpclmul, which the build arranges whenever
+ * it builds either vector tier.
+ */
+std::uint32_t crc32UpdatePclmul(std::uint32_t crc, const std::uint8_t *src,
+                                std::size_t n);
 
 } // namespace bxt::simd::detail
 

@@ -276,6 +276,7 @@ neonTableOrNull()
         dbiDecodePlaneNeon,
         popcountRangeNeon,
         popcountXorRangeNeon,
+        crc32Slice8Range, // the Word entry
     };
     return &table;
 }

@@ -2,9 +2,12 @@
  * @file
  * Scalar tier: strict byte-at-a-time loops. This is the reference every
  * other tier must match bit for bit; it deliberately avoids word loads
- * so a bug in the word/vector paths cannot hide in shared code.
+ * so a bug in the word/vector paths cannot hide in shared code. Its
+ * CRC-32 entry is the shared bytewise table loop, which known-answer
+ * tests pin independently of the other tiers.
  */
 
+#include "core/simd/kernel_common.h"
 #include "core/simd/kernels.h"
 
 namespace bxt::simd::detail {
@@ -175,6 +178,7 @@ scalarTable()
         dbiDecodePlaneScalar,
         popcountRangeScalar,
         popcountXorRangeScalar,
+        crc32BytewiseRange,
     };
     return table;
 }

@@ -1,8 +1,9 @@
 /**
  * @file
  * Word tier: the 64-bit-word formulations the batch kernels used before
- * runtime dispatch existed (PR 5). Always available; serves as the
- * baseline the bench level sweep measures the vector tiers against.
+ * runtime dispatch existed, plus slicing-by-8 CRC-32. Always available;
+ * serves as the baseline the bench level sweep measures the vector tiers
+ * against.
  */
 
 #include "core/simd/kernel_common.h"
@@ -26,6 +27,7 @@ wordTable()
         dbiDecodePlaneWord,
         popcountWordRange,
         popcountXorWordRange,
+        crc32Slice8Range,
     };
     return table;
 }

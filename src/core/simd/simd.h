@@ -13,6 +13,9 @@
  *   Level::Avx2    256-bit AVX2 (x86-64, detected via CPUID + XGETBV)
  *   Level::Avx512  512-bit AVX-512 F+BW+VL+VPOPCNTDQ
  *
+ * Both x86 vector levels also require PCLMULQDQ: their CRC-32 entry is
+ * one shared 128-bit carry-less-multiply folding kernel.
+ *
  * One binary carries every level its compiler could build (the vector
  * translation units get per-file -m flags; see src/core/CMakeLists.txt)
  * and picks the best one the running CPU supports. The `BXT_SIMD`
@@ -44,8 +47,8 @@ enum class Level : int
     Scalar = 0, ///< Byte loops; always available, the reference tier.
     Word = 1,   ///< 64-bit word loops; always available.
     Neon = 2,   ///< 128-bit NEON (aarch64 builds).
-    Avx2 = 3,   ///< 256-bit AVX2.
-    Avx512 = 4, ///< 512-bit AVX-512 (F+BW+VL+VPOPCNTDQ).
+    Avx2 = 3,   ///< 256-bit AVX2 (+ PCLMULQDQ).
+    Avx512 = 4, ///< 512-bit AVX-512 (F+BW+VL+VPOPCNTDQ, + PCLMULQDQ).
 };
 
 /**
@@ -98,6 +101,14 @@ struct KernelTable
     /** Total `1` bits in a[i] ^ b[i] (the toggle count of two beats). */
     std::uint64_t (*popcountXorRange)(const std::uint8_t *a,
                                       const std::uint8_t *b, std::size_t n);
+
+    /**
+     * Advance a running CRC-32 register (IEEE 802.3, reflected
+     * polynomial 0xEDB88320; no pre/post inversion, see
+     * common/checksum.h) over @p n bytes of @p src.
+     */
+    std::uint32_t (*crc32Update)(std::uint32_t crc, const std::uint8_t *src,
+                                 std::size_t n);
 };
 
 /**

@@ -5,6 +5,7 @@
 
 #include "common/bitops.h"
 #include "common/error.h"
+#include "core/simd/simd.h"
 
 namespace bxt {
 namespace {
@@ -90,7 +91,8 @@ Transaction::fromHex(const std::string &hex)
 std::size_t
 Transaction::ones() const
 {
-    return popcountBytes(bytes());
+    return static_cast<std::size_t>(
+        simd::ops().popcountRange(data_.data(), size_));
 }
 
 bool

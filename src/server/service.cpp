@@ -297,6 +297,7 @@ Service::handleEncode(const wire::Frame &request)
     const std::uint64_t input_ones = batch.ones();
     const std::uint64_t payload_ones = enc.payloadOnes();
     const std::uint64_t meta_ones = enc.metaOnes();
+    const std::uint64_t out_ones = payload_ones + meta_ones;
     writer.u64(input_ones);
     writer.u64(payload_ones);
     writer.u64(meta_ones);
@@ -310,13 +311,17 @@ Service::handleEncode(const wire::Frame &request)
 
     if (telemetry::metricsEnabled()) {
         txEncoded_.add(count);
-        const std::string base =
-            "bxt.server." + telemetry::sanitizeMetricName(request.spec);
-        reg_.counter(base + ".ones_in").add(input_ones);
-        reg_.counter(base + ".ones_out").add(payload_ones + meta_ones);
-        const std::uint64_t out = payload_ones + meta_ones;
-        reg_.counter(base + ".ones_removed")
-            .add(input_ones > out ? input_ones - out : 0);
+        if (entry->specOnesIn == nullptr) {
+            const std::string base =
+                "bxt.server." + telemetry::sanitizeMetricName(request.spec);
+            entry->specOnesIn = &reg_.counter(base + ".ones_in");
+            entry->specOnesOut = &reg_.counter(base + ".ones_out");
+            entry->specOnesRemoved = &reg_.counter(base + ".ones_removed");
+        }
+        entry->specOnesIn->add(input_ones);
+        entry->specOnesOut->add(out_ones);
+        entry->specOnesRemoved->add(
+            input_ones > out_ones ? input_ones - out_ones : 0);
         // Per-tenant accounting: stream-tagged encodes telescope to the
         // aggregate counters (sum over streams == bxt.server.tx_encoded
         // when every request carries a tag).
@@ -324,7 +329,7 @@ Service::handleEncode(const wire::Frame &request)
             StreamCounters &stream = streamCounters(request.streamId);
             stream.txEncoded.add(count);
             stream.onesIn.add(input_ones);
-            stream.onesOut.add(payload_ones + meta_ones);
+            stream.onesOut.add(out_ones);
             // Windowed value statistics over the raw input plane (see
             // StreamCounters).
             stream.observe(
@@ -333,7 +338,7 @@ Service::handleEncode(const wire::Frame &request)
         }
     }
     entry->onesIn += input_ones;
-    entry->onesOut += payload_ones + meta_ones;
+    entry->onesOut += out_ones;
     if (entry->adaptive != nullptr)
         announceAdaptive(*entry, request.streamId, response);
     return response;

@@ -82,6 +82,11 @@ class Service
         std::uint64_t onesOut = 0;
         std::uint64_t lastEpoch = 0; ///< Last exported switch count.
         std::string lastChoiceMetric; ///< One-hot gauge currently at 1.
+        /** bxt.server.<spec>.ones_{in,out,removed}, looked up on the
+         *  entry's first metrics-on Encode (null until then). */
+        telemetry::Counter *specOnesIn = nullptr;
+        telemetry::Counter *specOnesOut = nullptr;
+        telemetry::Counter *specOnesRemoved = nullptr;
     };
 
     /**

@@ -307,7 +307,11 @@ randomFrame(Rng &rng)
         "abcdefghijklmnopqrstuvwxyz0123456789+|";
     for (std::size_t i = 0; i < spec_len; ++i)
         frame.spec += charset[rng.nextBounded(sizeof(charset) - 1)];
-    const std::size_t body_len = rng.nextBounded(65);
+    // Half the bodies are short (0-64 B: header and short-input CRC
+    // paths), half 65 B - 8 KiB (the folded CRC path and its tail).
+    const std::size_t body_len = rng.nextBounded(2) == 0
+                                     ? rng.nextBounded(65)
+                                     : 65 + rng.nextBounded(8192 - 64);
     frame.body.resize(body_len);
     for (std::size_t i = 0; i < body_len; ++i)
         frame.body[i] = static_cast<std::uint8_t>(rng.nextBounded(256));

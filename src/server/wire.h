@@ -286,7 +286,8 @@ struct FrameFuzzReport
  * serialize→parse), chunked at random boundaries (must still round-trip),
  * truncated (must report NeedMore, never a frame), and with random byte
  * corruptions (must yield a typed error or NeedMore, never a parsed
- * frame). Deterministic per @p seed.
+ * frame). Bodies are 0-64 B or 65 B - 8 KiB, half each. Deterministic
+ * per @p seed.
  */
 FrameFuzzReport fuzzFrameParser(std::uint64_t seed,
                                 std::uint64_t iterations);

@@ -27,6 +27,7 @@
 #include "common/checksum.h"
 #include "common/json.h"
 #include "core/codec_factory.h"
+#include "core/simd/simd.h"
 #include "server/server.h"
 #include "server/service.h"
 #include "server/wire.h"
@@ -200,6 +201,31 @@ TEST(FrameParser, UntracedFramesStayVersionOne)
     EXPECT_EQ(bytes[4], wire::wireVersion);
     EXPECT_EQ(bytes.size(),
               wire::headerBytes + sizeof(std::uint32_t)); // header + CRC
+}
+
+TEST(FrameParser, FrameBytesDoNotDependOnDispatchLevel)
+{
+    // The frame CRC runs at the SIMD dispatch level; every level must
+    // seal a frame with the same bytes, and each must accept the others'.
+    wire::Frame frame = encodeFrameWithSpec("xor4+zdr");
+    frame.body.resize(5203);
+    for (std::size_t i = 0; i < frame.body.size(); ++i)
+        frame.body[i] = static_cast<std::uint8_t>(i * 131 + 7);
+    const simd::Level saved = simd::activeLevel();
+    simd::setActiveLevel(simd::Level::Scalar);
+    const std::vector<std::uint8_t> want = wire::serializeFrame(frame);
+    for (simd::Level level : simd::supportedLevels()) {
+        SCOPED_TRACE(simd::levelName(level));
+        simd::setActiveLevel(level);
+        EXPECT_EQ(wire::serializeFrame(frame), want);
+        wire::FrameParser parser;
+        parser.feed(want.data(), want.size());
+        wire::Frame out;
+        wire::WireError err;
+        ASSERT_EQ(parser.next(out, err), wire::FrameParser::Status::Ready);
+        EXPECT_TRUE(out == frame);
+    }
+    simd::setActiveLevel(saved);
 }
 
 TEST(FrameParser, ReservedTraceFlagsAreMalformed)

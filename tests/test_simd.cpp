@@ -3,17 +3,20 @@
  * SIMD dispatch-layer suite: level parsing and BXT_SIMD resolution
  * semantics (invalid names fall back to scalar with a warning, never an
  * abort), per-primitive differential checks of every available kernel
- * table against the strict byte-loop scalar reference, and the golden
- * corpus plus the batch differential fuzzer replayed at every dispatch
- * level the host supports.
+ * table against the strict byte-loop scalar reference (CRC-32 also
+ * against known answers), and the golden corpus plus the batch
+ * differential fuzzer replayed at every dispatch level the host
+ * supports.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/checksum.h"
 #include "common/rng.h"
 #include "core/simd/kernels.h"
 #include "core/simd/simd.h"
@@ -269,6 +272,93 @@ TEST(SimdKernels, DbiPlanePrimitivesMatchScalarAtEveryLevel)
                     << "dbi round-trip gb=" << group_bytes
                     << " groups=" << groups;
             }
+        }
+    }
+}
+
+/** Pattern bytes whose CRCs were computed independently (zlib). */
+std::vector<std::uint8_t>
+crcPattern(std::size_t n)
+{
+    std::vector<std::uint8_t> out(n);
+    for (std::size_t i = 0; i < n; ++i)
+        out[i] = static_cast<std::uint8_t>(i * 131 + 7);
+    return out;
+}
+
+TEST(SimdKernels, Crc32KnownAnswersAtEveryLevel)
+{
+    ScopedLevel guard;
+    const std::string check = "123456789";
+    const std::vector<std::uint8_t> check_bytes(check.begin(), check.end());
+    for (Level level : simd::supportedLevels()) {
+        SCOPED_TRACE(simd::levelName(level));
+        ASSERT_EQ(simd::setActiveLevel(level), level);
+        EXPECT_EQ(crc32(check_bytes), 0xcbf43926u);
+        EXPECT_EQ(crc32({}), 0u);
+        // Long enough for every level's wide path, with a ragged tail.
+        EXPECT_EQ(crc32(crcPattern(5200)), 0xac07e0bau);
+    }
+}
+
+TEST(SimdKernels, Crc32MatchesScalarForEveryLengthAndOffset)
+{
+    ScopedLevel guard;
+    constexpr std::size_t maxLen = 4096;
+    constexpr std::size_t maxOffset = 15;
+    const simd::KernelTable &ref = simd::detail::scalarTable();
+    const std::vector<std::uint8_t> buf =
+        randomBytes(maxLen + maxOffset, 0xC4C32);
+    for (Level level : simd::supportedLevels()) {
+        SCOPED_TRACE(simd::levelName(level));
+        ASSERT_EQ(simd::setActiveLevel(level), level);
+        const simd::KernelTable &ops = simd::ops();
+        std::size_t mismatches = 0;
+        for (std::size_t off = 0; off <= maxOffset; ++off) {
+            const std::uint8_t *src = buf.data() + off;
+            // The Scalar reference for length len, extended one byte
+            // per step.
+            std::uint32_t want = crc32Init;
+            for (std::size_t len = 0; len <= maxLen; ++len) {
+                if (len > 0)
+                    want = ref.crc32Update(want, src + len - 1, 1);
+                const std::uint32_t got =
+                    ops.crc32Update(crc32Init, src, len);
+                if (got != want && mismatches++ < 8)
+                    ADD_FAILURE() << "crc32Update off=" << off
+                                  << " len=" << len;
+            }
+        }
+        EXPECT_EQ(mismatches, 0u);
+    }
+}
+
+TEST(SimdKernels, Crc32ChainedUpdatesMatchOneShotAtEveryLevel)
+{
+    ScopedLevel guard;
+    const simd::KernelTable &ref = simd::detail::scalarTable();
+    const std::vector<std::uint8_t> buf = randomBytes(3 * 4096, 0xC4A1);
+    const std::span<const std::uint8_t> all(buf);
+    for (Level level : simd::supportedLevels()) {
+        SCOPED_TRACE(simd::levelName(level));
+        ASSERT_EQ(simd::setActiveLevel(level), level);
+        Rng rng(0x5B117 + static_cast<std::uint64_t>(level));
+        for (int trial = 0; trial < 200; ++trial) {
+            const std::size_t n = rng.nextBounded(buf.size() + 1);
+            const std::uint32_t want =
+                ref.crc32Update(crc32Init, buf.data(), n);
+            // Split [0, n) at up to 8 random points.
+            std::uint32_t crc = crc32Init;
+            std::size_t at = 0;
+            const std::size_t pieces = 1 + rng.nextBounded(8);
+            for (std::size_t p = 1; p < pieces && at < n; ++p) {
+                const std::size_t len = rng.nextBounded(n - at + 1);
+                crc = crc32Update(crc, all.subspan(at, len));
+                at += len;
+            }
+            crc = crc32Update(crc, all.subspan(at, n - at));
+            EXPECT_EQ(crc, want) << "n=" << n << " pieces=" << pieces;
+            EXPECT_EQ(crc32(all.first(n)), crc32Final(want));
         }
     }
 }

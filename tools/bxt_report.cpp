@@ -18,11 +18,13 @@
  *                                        serial sweep regressed by more
  *                                        than PCT percent (the `ci.sh
  *                                        metrics` overhead gate)
- *   bxt_report --assert-tx-overhead PCT UNTRACED.json TRACED.json
- *                                        compare two loadgen documents'
- *                                        aggregate tx rates and fail when
- *                                        tracing cost more than PCT
- *                                        percent (the `ci.sh serve`
+ *   bxt_report --assert-tx-overhead PCT UNTRACED.json TRACED.json...
+ *                                        compare (untraced, traced) pairs
+ *                                        of loadgen documents' aggregate
+ *                                        tx rates and fail when the median
+ *                                        pair says tracing cost more than
+ *                                        PCT percent; every run must last
+ *                                        at least 1 s (the `ci.sh serve`
  *                                        trace-overhead gate)
  *   bxt_report --assert-shard-scaling RATIO BASE.json SHARDED.json
  *                                        compare two loadgen documents'
@@ -772,9 +774,11 @@ serialSeconds(const std::string &path, double &seconds)
     return false;
 }
 
-/** Aggregate tx_per_s from a bxt_loadgen --json document. */
+/** Aggregate tx_per_s (and, when @p seconds is non-null, the run's
+ *  wall seconds) from a bxt_loadgen --json document. */
 bool
-aggregateTxRate(const std::string &path, double &tx_per_s)
+aggregateTxRate(const std::string &path, double &tx_per_s,
+                double *seconds = nullptr)
 {
     std::string text;
     if (!readFile(path, text))
@@ -795,9 +799,13 @@ aggregateTxRate(const std::string &path, double &tx_per_s)
     for (const JsonValue &row : results->array) {
         const JsonValue *scope = row.find("scope");
         const JsonValue *rate = row.find("tx_per_s");
+        const JsonValue *secs = row.find("seconds");
         if (scope != nullptr && scope->string == "aggregate" &&
-            rate != nullptr && rate->isNumber()) {
+            rate != nullptr && rate->isNumber() &&
+            (seconds == nullptr || (secs != nullptr && secs->isNumber()))) {
             tx_per_s = rate->number;
+            if (seconds != nullptr)
+                *seconds = secs->number;
             return true;
         }
     }
@@ -806,33 +814,59 @@ aggregateTxRate(const std::string &path, double &tx_per_s)
     return false;
 }
 
+/** Shortest loadgen run --assert-tx-overhead accepts: shorter bursts
+ *  measure burst-to-burst noise rather than tracing cost. */
+constexpr double txOverheadMinSeconds = 1.0;
+
 /**
- * --assert-tx-overhead: fail when the traced loadgen run's aggregate
- * transaction rate is more than @p limit_pct percent below the untraced
- * baseline (the `ci.sh serve` trace-overhead gate).
+ * --assert-tx-overhead: @p paths holds (untraced, traced) loadgen
+ * documents pair by pair, each run at least txOverheadMinSeconds long.
+ * Fail when the median over the pairs of the traced run's aggregate
+ * transaction rate is more than @p limit_pct percent below its untraced
+ * partner's (the `ci.sh serve` trace-overhead gate).
  */
 int
-assertTxOverhead(double limit_pct, const std::string &base_path,
-                 const std::string &traced_path)
+assertTxOverhead(double limit_pct, const std::vector<std::string> &paths)
 {
-    double base = 0.0;
-    double traced = 0.0;
-    if (!aggregateTxRate(base_path, base) ||
-        !aggregateTxRate(traced_path, traced))
-        return 1;
-    if (base <= 0.0) {
-        std::fprintf(stderr, "bxt_report: %s: non-positive tx rate\n",
-                     base_path.c_str());
-        return 1;
+    std::vector<double> overheads;
+    for (std::size_t i = 0; i + 1 < paths.size(); i += 2) {
+        double rate[2] = {0.0, 0.0};
+        for (std::size_t side = 0; side < 2; ++side) {
+            const std::string &path = paths[i + side];
+            double seconds = 0.0;
+            if (!aggregateTxRate(path, rate[side], &seconds))
+                return 1;
+            if (seconds < txOverheadMinSeconds) {
+                std::fprintf(stderr,
+                             "bxt_report: %s: run lasted %.3f s, the gate "
+                             "needs at least %.1f s\n",
+                             path.c_str(), seconds, txOverheadMinSeconds);
+                return 1;
+            }
+        }
+        if (rate[0] <= 0.0) {
+            std::fprintf(stderr, "bxt_report: %s: non-positive tx rate\n",
+                         paths[i].c_str());
+            return 1;
+        }
+        const double overhead_pct = (rate[0] - rate[1]) / rate[0] * 100.0;
+        std::printf("pair %zu: %.0f tx/s untraced, %.0f tx/s traced -> "
+                    "%+.2f %% slower\n",
+                    i / 2 + 1, rate[0], rate[1], overhead_pct);
+        overheads.push_back(overhead_pct);
     }
-    const double overhead_pct = (base - traced) / base * 100.0;
-    std::printf("aggregate tx rate: %.0f tx/s untraced, %.0f tx/s traced "
-                "-> %+.2f %% slower (limit %.2f %%)\n",
-                base, traced, overhead_pct, limit_pct);
-    if (overhead_pct > limit_pct) {
+    std::sort(overheads.begin(), overheads.end());
+    const std::size_t mid = overheads.size() / 2;
+    const double median = overheads.size() % 2 == 1
+                              ? overheads[mid]
+                              : (overheads[mid - 1] + overheads[mid]) / 2.0;
+    std::printf("median trace overhead over %zu pair(s): %+.2f %% "
+                "(limit %.2f %%)\n",
+                overheads.size(), median, limit_pct);
+    if (median > limit_pct) {
         std::fprintf(stderr, "bxt_report: trace overhead %.2f %% exceeds "
                              "limit %.2f %%\n",
-                     overhead_pct, limit_pct);
+                     median, limit_pct);
         return 1;
     }
     return 0;
@@ -941,8 +975,9 @@ main(int argc, char **argv)
                 overhead_limit = std::strtod(v.c_str(), nullptr);
             });
     cli.add("--assert-tx-overhead", "PCT",
-            "fail when TRACED.json's aggregate tx rate is more than PCT "
-            "percent below UNTRACED.json's (two loadgen files expected)",
+            "fail when the median over UNTRACED.json TRACED.json pairs of "
+            "the traced aggregate tx rate is more than PCT percent below "
+            "the untraced one (each run at least 1 s)",
             [&](const std::string &v) {
                 tx_overhead = true;
                 tx_overhead_limit = std::strtod(v.c_str(), nullptr);
@@ -974,12 +1009,12 @@ main(int argc, char **argv)
         return assertOverhead(overhead_limit, files[0], files[1]);
     }
     if (tx_overhead) {
-        if (files.size() != 2) {
+        if (files.size() < 2 || files.size() % 2 != 0) {
             std::fprintf(stderr, "bxt_report: --assert-tx-overhead needs "
-                                 "UNTRACED.json and TRACED.json\n");
+                                 "UNTRACED.json TRACED.json pairs\n");
             return 2;
         }
-        return assertTxOverhead(tx_overhead_limit, files[0], files[1]);
+        return assertTxOverhead(tx_overhead_limit, files);
     }
     if (shard_scaling) {
         if (files.size() != 2) {
