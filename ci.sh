@@ -15,9 +15,11 @@
 #   fuzz     ASan/UBSan build + bxt_fuzz campaign + fuzz/golden-labeled
 #            ctest; BXT_FUZZ_SECONDS scales the budget (default 60) and
 #            BXT_FUZZ_FRAMES the wire-frame parser pass (default 100000)
-#   batch    Release build + batch/simd-labeled ctest (batch kernels vs
-#            the reference codecs and reference bus, SIMD tables vs the
-#            scalar table) + an
+#   batch    Release build + batch/simd-labeled ctest (batch containers,
+#            split invariance and geometry errors; SIMD tables vs the
+#            scalar table; the golden corpus and the differential
+#            campaign against the reference codecs and reference bus at
+#            every dispatch level) + an
 #            ASan/UBSan pass of the same tests forced through every
 #            dispatch level (BXT_SIMD=scalar/word/avx2/avx512) + the
 #            bench_codec_throughput sweep with its speedup gates
@@ -117,17 +119,15 @@ run_fuzz() {
     configure_asan
     cmake --build build-ci-asan -j "${jobs}" \
         --target bxt_fuzz test_differential test_golden
-    # The time-budgeted campaign sweeps every canonical spec and shrinks
-    # any failure into tests/corpus/ (uploaded as a CI artifact). The
+    # The time-budgeted campaign sweeps every canonical spec, each stream
+    # at one of the batch sizes 1, 7, 64 and 512, against the reference
+    # codecs and reference bus under the sanitizers, and shrinks any
+    # failure into tests/corpus/ (uploaded as a CI artifact). The
     # --frames pass also fuzzes the bxtd wire-frame parser (clean frames
-    # must round-trip; corrupted ones must yield typed errors, never UB),
-    # and --batch differentially checks the batch kernels against the
-    # reference codecs and reference bus under the sanitizers
-    # (BXT_FUZZ_BATCH_STREAMS scales it).
+    # must round-trip; corrupted ones must yield typed errors, never UB).
     ./build-ci-asan/tools/bxt_fuzz \
         --seconds "${BXT_FUZZ_SECONDS:-60}" \
         --frames "${BXT_FUZZ_FRAMES:-100000}" \
-        --batch --batch-streams "${BXT_FUZZ_BATCH_STREAMS:-12}" \
         --corpus tests/corpus
     ctest --test-dir build-ci-asan --output-on-failure -j "${jobs}" \
         -L 'fuzz|golden'
@@ -151,9 +151,9 @@ run_batch() {
         BXT_SIMD="${level}" ctest --test-dir build-ci-asan \
             --output-on-failure -j "${jobs}" -L 'batch|simd'
     done
-    # Differential coverage first (golden corpus through the batch
-    # kernels, split-invariance, the short fuzz campaign), then the
-    # throughput smoke: the batch API must beat the per-transaction API
+    # Differential coverage first (split invariance, the golden corpus
+    # and a short differential campaign at every dispatch level), then
+    # the throughput smoke: the batch API must beat the per-transaction API
     # by the gate factor at batch >= 512 on every spec, and the sweep
     # itself asserts BusStats field-identity at every batch size.
     ctest --test-dir build-ci-release --output-on-failure -j "${jobs}" \

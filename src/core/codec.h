@@ -143,7 +143,7 @@ class Codec
      * The codec's encoder: configure @p out to the batch geometry and
      * encode every transaction of @p in. The hand-written kernels are
      * checked against the naive reference codecs of src/verify
-     * (src/verify/batch_check.h).
+     * (src/verify/invariants.h).
      */
     virtual void encodeBatchKernel(const TxBatch &in, EncodedBatch &out) = 0;
 

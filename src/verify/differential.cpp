@@ -7,6 +7,7 @@
 #include "core/codec_factory.h"
 #include "telemetry/trace.h"
 #include "verify/generators.h"
+#include "verify/reference_codecs.h"
 
 namespace bxt::verify {
 namespace {
@@ -24,52 +25,55 @@ mixSeed(std::uint64_t seed, const std::string &spec, unsigned wires)
     return h;
 }
 
-/** One (spec, wires) fuzzing unit with its own RNG, checker, and stream. */
+/** One (spec, wires) fuzzing unit with its own RNG and stream. */
 struct Unit
 {
     std::string spec;
     unsigned wires;
     std::uint64_t seed;
     Rng rng;
-    DifferentialChecker checker;
+    std::uint64_t first_size; ///< Index into kFuzzBatchSizes of stream 0.
     Transaction previous;
-    std::uint64_t iteration = 0;
+    std::uint64_t streams = 0;
+    std::uint64_t checked = 0;
     bool failed = false;
 
-    Unit(const std::string &spec_in, unsigned wires_in, std::uint64_t campaign,
-         double idle_fraction)
+    Unit(const std::string &spec_in, unsigned wires_in, std::uint64_t campaign)
         : spec(spec_in), wires(wires_in),
           seed(mixSeed(campaign, spec_in, wires_in)), rng(seed),
-          checker(spec_in, wires_in, idle_fraction), previous(wires_in)
+          first_size(rng.nextBounded(kFuzzBatchSizes.size())),
+          previous(wires_in)
     {
     }
 };
 
 void
-handleFailure(Unit &unit, const Transaction &tx, const Violation &violation,
-              const FuzzOptions &options, FuzzReport &report)
+handleFailure(Unit &unit, std::size_t batch_tx, const Transaction &tx,
+              const Violation &violation, const FuzzOptions &options,
+              FuzzReport &report)
 {
     unit.failed = true;
     FuzzFailure failure;
     failure.spec = unit.spec;
     failure.dataWires = unit.wires;
+    failure.batchTx = batch_tx;
     failure.seed = unit.seed;
     failure.violation = violation;
     failure.original = tx;
     failure.shrunk = tx;
 
-    // Shrinking restarts from a fresh checker, so it only applies to
-    // failures that do not depend on accumulated stream state.
+    // Shrinking re-checks candidates alone on a fresh codec, so it only
+    // applies to failures that do not depend on accumulated stream state.
     const FailPredicate fails = [&](const Transaction &candidate) {
-        DifferentialChecker fresh(unit.spec, unit.wires,
-                                  options.idleFraction);
-        return fresh.check(candidate).has_value();
+        return checkStream(unit.spec, {candidate}, unit.wires, 1,
+                           options.idleFraction, options.codecFactory)
+            .has_value();
     };
     failure.reproducesFresh = fails(tx);
     if (failure.reproducesFresh && options.shrinkFailures)
         failure.shrunk = shrinkTransaction(tx, fails);
 
-    if (!options.corpusDir.empty()) {
+    if (!options.corpusDir.empty() && failure.reproducesFresh) {
         Repro repro;
         repro.spec = unit.spec;
         repro.dataWires = unit.wires;
@@ -82,27 +86,34 @@ handleFailure(Unit &unit, const Transaction &tx, const Violation &violation,
     report.failures.push_back(std::move(failure));
 }
 
-/** Run up to @p count iterations of @p unit; false once the unit failed. */
+/** Generate the unit's next stream and check it at the next batch size. */
 void
-runChunk(Unit &unit, std::uint64_t count, const FuzzOptions &options,
-         FuzzReport &report)
+runStream(Unit &unit, const FuzzOptions &options, FuzzReport &report)
 {
-    // One span per (spec, wires) chunk; a trace of a fuzz run shows where
-    // the wall-clock budget goes across the unit matrix.
-    telemetry::ScopedSpan span(
-        "fuzz." + unit.spec + "." + std::to_string(unit.wires), "fuzz");
+    const std::size_t batch_tx =
+        kFuzzBatchSizes[(unit.first_size + unit.streams++) %
+                        kFuzzBatchSizes.size()];
+    // One span per stream; a trace of a fuzz run shows where the
+    // wall-clock budget goes across the unit matrix and batch sizes.
+    telemetry::ScopedSpan span("fuzz." + unit.spec + "." +
+                                   std::to_string(unit.wires) + ".b" +
+                                   std::to_string(batch_tx),
+                               "fuzz");
     const std::vector<GenKind> &kinds = allGenKinds();
-    const std::size_t tx_bytes = unit.wires;
-    for (std::uint64_t i = 0; i < count && !unit.failed; ++i) {
-        const GenKind kind = kinds[unit.iteration % kinds.size()];
-        const Transaction tx =
-            generate(unit.rng, tx_bytes, kind, unit.previous);
-        unit.previous = tx;
-        ++unit.iteration;
-        ++report.transactionsChecked;
-        if (auto violation = unit.checker.check(tx))
-            handleFailure(unit, tx, *violation, options, report);
+    std::vector<Transaction> stream;
+    stream.reserve(kFuzzStreamTx);
+    for (std::size_t t = 0; t < kFuzzStreamTx; ++t) {
+        stream.push_back(generate(unit.rng, unit.wires,
+                                  kinds[t % kinds.size()], unit.previous));
+        unit.previous = stream.back();
     }
+    unit.checked += stream.size();
+    report.transactionsChecked += stream.size();
+    if (auto violation =
+            checkStream(unit.spec, stream, unit.wires, batch_tx,
+                        options.idleFraction, options.codecFactory))
+        handleFailure(unit, batch_tx, stream[violation->tx], *violation,
+                      options, report);
 }
 
 } // namespace
@@ -130,45 +141,53 @@ runDifferentialFuzz(const FuzzOptions &options)
     std::vector<Unit> units;
     for (const std::string &spec : specs) {
         for (unsigned wires : options.dataWires)
-            units.emplace_back(spec, wires, options.seed,
-                               options.idleFraction);
+            units.emplace_back(spec, wires, options.seed);
     }
 
     FuzzReport report;
     if (options.secondsBudget > 0.0) {
-        // Time-bounded mode: round-robin chunks until the budget expires.
+        // Time-bounded mode: round-robin streams until the budget expires
+        // or no unit is left to run.
         const auto start = std::chrono::steady_clock::now();
-        const auto budget = std::chrono::duration<double>(
-            options.secondsBudget);
-        bool expired = false;
-        while (!expired) {
+        const auto budget =
+            std::chrono::duration<double>(options.secondsBudget);
+        const auto expired = [&] {
+            return std::chrono::steady_clock::now() - start >= budget;
+        };
+        const auto live = [&] {
+            return std::ranges::any_of(
+                units, [](const Unit &unit) { return !unit.failed; });
+        };
+        while (live() && !expired()) {
             for (Unit &unit : units) {
-                runChunk(unit, 2000, options, report);
-                if (std::chrono::steady_clock::now() - start >= budget) {
-                    expired = true;
-                    break;
-                }
+                if (!unit.failed && !expired())
+                    runStream(unit, options, report);
             }
         }
     } else {
-        for (Unit &unit : units)
-            runChunk(unit, options.iterationsPerSpec, options, report);
+        for (Unit &unit : units) {
+            while (!unit.failed && unit.checked < options.iterationsPerSpec)
+                runStream(unit, options, report);
+        }
     }
 
     if (options.progress) {
         for (const Unit &unit : units) {
+            const bool has_ref =
+                makeRefCodec(unit.spec, unit.wires / 8) != nullptr;
             options.progress(
-                unit.spec + " wires=" + std::to_string(unit.wires) + " " +
-                std::to_string(unit.iteration) + " tx " +
+                unit.spec + " wires=" + std::to_string(unit.wires) +
+                " tx=" + std::to_string(unit.checked) +
+                " streams=" + std::to_string(unit.streams) + " " +
                 (unit.failed ? "FAIL" : "ok") +
-                (unit.checker.hasReference() ? "" : " (round-trip/bus only)"));
+                (has_ref ? "" : " (vs a one-tx-per-batch run)"));
         }
     }
     return report;
 }
 
 FuzzReport
-replayCorpus(const std::string &dir)
+replayCorpus(const std::string &dir, const CodecFactory &make_core)
 {
     FuzzReport report;
     for (const std::string &path : listRepros(dir)) {
@@ -180,9 +199,10 @@ replayCorpus(const std::string &dir)
             report.failures.push_back(std::move(failure));
             continue;
         }
-        DifferentialChecker checker(repro->spec, repro->dataWires, 0.0);
         ++report.transactionsChecked;
-        if (auto violation = checker.check(repro->tx)) {
+        if (auto violation = checkStream(repro->spec, {repro->tx},
+                                         repro->dataWires, 1, 0.0,
+                                         make_core)) {
             FuzzFailure failure;
             failure.spec = repro->spec;
             failure.dataWires = repro->dataWires;

@@ -67,24 +67,15 @@ std::vector<std::string> loadGoldenFile(const std::string &path,
                                         GoldenFile &out);
 
 /**
- * Parse @p path and re-run the current core implementation over its
- * inputs. Returns one human-readable line per mismatch (empty == clean);
- * parse problems are reported the same way rather than aborting.
+ * Parse @p path and re-run the current core kernels over its inputs twice:
+ * as one batch, and one transaction per batch (each pass on a fresh codec,
+ * in vector order). Every pass must reproduce each vector's pinned payload
+ * and metadata and decode back to its input; the pinned fresh-Bus counters
+ * are checked on the one-transaction batches. Returns one human-readable
+ * line per mismatch (empty == clean); parse problems are reported the same
+ * way rather than aborting.
  */
 std::vector<std::string> checkGoldenFile(const std::string &path);
-
-/**
- * Like checkGoldenFile, but through the batch hot path: the file's inputs
- * become one TxBatch encoded with a single encodeBatch call (stateful
- * codecs advance in vector order either way), each vector's pinned
- * payload/metadata are compared against its batch slice, the pinned bus
- * counters against a fresh single-transaction transmitBatch, and the
- * whole batch must decodeBatch back to the inputs. Any diff line means a
- * batch kernel has drifted from the encodings the files pin (multi-
- * transaction batches, where checkGoldenFile runs one transaction per
- * batch).
- */
-std::vector<std::string> checkGoldenFileBatch(const std::string &path);
 
 /** One pinned aggregate endpoint, e.g. fig11's mean normalized ones. */
 struct Endpoint

@@ -1,7 +1,8 @@
 /**
  * @file
- * Per-transaction invariant checking: the machine-checked statements of the
- * paper's correctness claims, evaluated for every fuzzed transaction.
+ * The stream checker: the machine-checked statements of the paper's
+ * correctness claims, evaluated for every transaction of a fuzzed stream
+ * run through a codec in chunks of a given batch size.
  *
  *  1. encode ∘ decode == identity for the core codec (bijection claim);
  *  2. the core encoding equals the naive reference encoding byte-for-byte
@@ -13,20 +14,22 @@
  *  5. DBI-DC output weight: every encoded group carries at most
  *     group-size/2 `1` bits (when the spec's final stage is dbiN);
  *  6. the optimized Bus and the bit-level RefBus report identical BusStats
- *     deltas and cumulative counters, across transaction boundaries.
+ *     deltas and cumulative counters, across transaction and batch
+ *     boundaries.
  */
 
 #ifndef BXT_VERIFY_INVARIANTS_H
 #define BXT_VERIFY_INVARIANTS_H
 
 #include <cstdint>
+#include <functional>
 #include <optional>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "channel/bus.h"
 #include "core/codec.h"
-#include "verify/reference_bus.h"
-#include "verify/reference_codecs.h"
 
 namespace bxt::verify {
 
@@ -35,60 +38,34 @@ struct Violation
 {
     std::string invariant; ///< Stable id, e.g. "core-vs-ref-payload".
     std::string detail;    ///< Hex dumps / counters for the report.
+    std::size_t tx = 0;    ///< Stream index of the transaction at fault.
 };
+
+/** Builds the codec under test for (spec, bus bytes); tests pass one that
+ *  returns a mutant to prove the checker catches injected bugs. */
+using CodecFactory =
+    std::function<CodecPtr(const std::string &spec, std::size_t bus_bytes)>;
 
 /**
- * Drives one codec spec over a transaction stream and checks every
- * invariant above per transaction. The checker owns the core codec, the
- * reference codec (absent for specs outside the paper set: bd, dbi-ac —
- * those get round-trip and bus checks only), and both bus models, so
- * cross-transaction toggle accounting is exercised too.
+ * Run @p stream through a fresh codec for @p spec (built by @p make_core,
+ * or makeCodec when empty) in chunks of @p batch_tx transactions, and
+ * check invariants 1, 2, 3, 5 and 6 on every chunk. The expected encodings
+ * come from makeRefCodec(spec) where a reference model exists; specs with
+ * none (bd, dbi-ac, adaptive) are compared with a fresh instance run one
+ * transaction per batch (for adaptive this only matches when the chunks
+ * end on its evaluation boundaries), and skip invariant 3.
+ *
+ * At @p batch_tx == 1 the codec runs through encodeInto / decodeInto and
+ * the bus through Bus::transmit, so the per-transaction wrappers stay
+ * under test; larger sizes use encodeBatch / decodeBatch / transmitBatch.
+ * Chunk-level failures (bus counters) name the chunk's first transaction.
+ * The codec is built with bus_bytes = @p data_wires / 8. Returns nullopt
+ * when every invariant holds.
  */
-class DifferentialChecker
-{
-  public:
-    /**
-     * @param spec codec_factory spec string; the codec is built with
-     *        bus_bytes = data_wires / 8.
-     * @param data_wires Channel width in bits (32 GPU / 64 CPU).
-     * @param idle_fraction Idle-gap fraction for both bus models.
-     */
-    explicit DifferentialChecker(const std::string &spec,
-                                 unsigned data_wires = 32,
-                                 double idle_fraction = 0.0);
-
-    /**
-     * As above, but verify an externally supplied core codec against the
-     * reference model for @p spec. Used by mutation smoke tests to prove
-     * the harness catches deliberately injected codec bugs.
-     */
-    DifferentialChecker(CodecPtr core, const std::string &spec,
-                        unsigned data_wires, double idle_fraction);
-
-    /** Check all invariants on @p tx; nullopt when every invariant holds. */
-    std::optional<Violation> check(const Transaction &tx);
-
-    /** False for specs with no reference model (bd, dbi-ac stages). */
-    bool hasReference() const { return ref_ != nullptr; }
-
-    /** Transactions checked since construction. */
-    std::uint64_t checked() const { return checked_; }
-
-    /** The spec under test. */
-    const std::string &spec() const { return spec_; }
-
-  private:
-    std::string spec_;
-    unsigned data_wires_;
-    CodecPtr core_;
-    RefCodecPtr ref_;
-    Bus bus_;
-    RefBus ref_bus_;
-    std::size_t tail_dbi_group_ = 0; ///< Group bytes when last stage is dbiN.
-    Encoded enc_;                    ///< Scratch for the hot encodeInto path.
-    Transaction decoded_{Transaction::minBytes};
-    std::uint64_t checked_ = 0;
-};
+std::optional<Violation>
+checkStream(const std::string &spec, const std::vector<Transaction> &stream,
+            unsigned data_wires, std::size_t batch_tx,
+            double idle_fraction = 0.0, const CodecFactory &make_core = {});
 
 /**
  * Lane-level ZDR bijectivity statement: with σ the swap of the two output
@@ -104,6 +81,15 @@ checkZdrLaneInvolution(const std::vector<std::uint8_t> &in,
  * not end in a plain DBI-DC stage (the weight bound only holds there).
  */
 std::size_t trailingDbiGroupBytes(const std::string &spec);
+
+/** Compact lowercase hex of @p bytes, byte 0 first. */
+std::string hexString(std::span<const std::uint8_t> bytes);
+
+/** One '0'/'1' per metadata bit; "-" when there are none. */
+std::string bitsString(std::span<const std::uint8_t> bits);
+
+/** The counters of @p stats on one line, for mismatch reports. */
+std::string statsString(const BusStats &stats);
 
 } // namespace bxt::verify
 

@@ -3,8 +3,11 @@
  * Batch-path regression suite: the flat TxBatch/EncodedBatch containers,
  * the BusStats accumulation they rely on, cross-batch toggle continuity
  * (splitting a stream into batches of any size changes no counter), the
- * golden corpus replayed through the batch kernels, and the typed
- * CodecSizeError geometry contract that replaced silent scratch resizing.
+ * adaptive codec's chunking contract, and the typed CodecSizeError
+ * geometry contract that replaced silent scratch resizing. The batch
+ * kernels' differential and golden checks live in test_differential and
+ * test_golden, which run every stream and golden file at several batch
+ * sizes.
  */
 
 #include <gtest/gtest.h>
@@ -17,9 +20,8 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "core/codec_factory.h"
-#include "verify/batch_check.h"
 #include "verify/generators.h"
-#include "verify/golden.h"
+#include "verify/invariants.h"
 #include "verify/reference_bus.h"
 
 namespace bxt {
@@ -27,10 +29,7 @@ namespace {
 
 using verify::GenKind;
 using verify::allGenKinds;
-using verify::checkGoldenFileBatch;
 using verify::generate;
-using verify::goldenFileName;
-using verify::goldenSpecs;
 
 /** Structured stream covering the generator families (zeros, strides,
  *  dense, neighbour flips), the inputs the batch kernels special-case. */
@@ -159,43 +158,9 @@ TEST(Batch, CrossBatchToggleContinuity)
     }
 }
 
-/** Every checked-in golden file re-verifies through the batch kernels. */
-TEST(Batch, GoldenCorpusMatchesBatchKernels)
-{
-    std::size_t files = 0;
-    for (unsigned wires : {32u, 64u}) {
-        for (const std::string &spec : goldenSpecs(wires)) {
-            const std::string path = std::string(BXT_GOLDEN_DIR) + "/" +
-                                     goldenFileName(spec, wires);
-            ++files;
-            for (const std::string &diff : checkGoldenFileBatch(path))
-                ADD_FAILURE() << diff;
-        }
-    }
-    EXPECT_GE(files, 17u);
-}
-
-/** A short batch-vs-reference differential campaign stays in tier 1. */
-TEST(Batch, DifferentialFuzzSmoke)
-{
-    verify::BatchFuzzOptions options;
-    options.specs = {"xor4+zdr", "universal3+zdr", "dbi4",
-                     "universal3+zdr|dbi1", "bd"};
-    options.streamsPerSpec = 2;
-    options.txPerStream = 48;
-    options.batchSizes = {1, 7, 64};
-    const verify::BatchFuzzReport report =
-        verify::runBatchDifferentialFuzz(options);
-    EXPECT_GT(report.transactionsChecked, 0u);
-    for (const verify::BatchFuzzFailure &failure : report.failures)
-        ADD_FAILURE() << failure.spec << " batch " << failure.batchTx
-                      << ": " << failure.violation.invariant << " — "
-                      << failure.violation.detail;
-}
-
 /**
  * Schemes without a reference model are checked against a run one
- * transaction per batch (bd and dbi-ac in the fuzz campaign above). The
+ * transaction per batch (bd and dbi-ac in the differential campaign). The
  * adaptive codec switches only on batch boundaries, so its chunked runs
  * match the per-transaction run when every chunk ends on an evaluation
  * boundary: chunk sizes that divide the default window (64) and period
@@ -205,8 +170,8 @@ TEST(Batch, AdaptiveChunksOnEvaluationBoundariesMatchPerTransactionRun)
 {
     const std::vector<Transaction> stream = makeStream(640, 32, 7);
     for (std::size_t batch_tx : {8, 64}) {
-        const auto violation = verify::checkBatchAgainstReference(
-            "adaptive", stream, 32, batch_tx);
+        const auto violation =
+            verify::checkStream("adaptive", stream, 32, batch_tx);
         EXPECT_FALSE(violation.has_value())
             << "batch " << batch_tx << ": " << violation->invariant << " — "
             << violation->detail;

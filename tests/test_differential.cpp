@@ -1,21 +1,28 @@
 /**
  * @file
- * Differential verification suite (ISSUE: tentpole). Checks the core
- * codecs and Bus against the naive reference implementations in
- * src/verify/ over the structured generator stream, proves the lane-level
- * ZDR bijectivity statement, replays the shrunken-repro corpus, and — as a
- * permanent mutation smoke test — verifies that a deliberately injected
- * codec bug is caught and shrunk to a near-minimal repro.
+ * Differential verification suite. Checks the core codecs and Bus
+ * against the naive reference implementations in src/verify/ over the
+ * structured generator stream at every campaign batch size, proves the
+ * lane-level ZDR bijectivity statement, replays the shrunken-repro corpus,
+ * and — as a permanent mutation smoke test — verifies that a deliberately
+ * injected codec bug is caught at every batch size, shrunk to a
+ * near-minimal repro, persisted, and replayed.
  *
  * Iteration budgets scale with the BXT_FUZZ_ITERS environment variable
  * (transactions per (spec, wires) unit); the default keeps the suite
- * tier-1 fast, the nightly job raises it.
+ * tier-1 fast. No CI job sets it: the nightly job runs the time-budgeted
+ * `bxt_fuzz --seconds` campaign instead, so raise it by hand for a longer
+ * local run.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
+
+#include <unistd.h>
 
 #include "common/rng.h"
 #include "core/codec_factory.h"
@@ -27,9 +34,10 @@
 namespace bxt {
 namespace {
 
-using verify::DifferentialChecker;
 using verify::FuzzOptions;
 using verify::FuzzReport;
+using verify::kFuzzBatchSizes;
+using verify::kFuzzStreamTx;
 using verify::Violation;
 
 std::uint64_t
@@ -54,32 +62,53 @@ countOnes(const Transaction &tx)
     return ones;
 }
 
+/** A structured generator stream of @p count transactions. */
+std::vector<Transaction>
+makeStream(std::size_t count, std::size_t tx_bytes, std::uint64_t seed)
+{
+    const std::vector<verify::GenKind> &kinds = verify::allGenKinds();
+    Rng rng(seed);
+    std::vector<Transaction> stream;
+    Transaction previous(tx_bytes);
+    for (std::size_t i = 0; i < count; ++i) {
+        stream.push_back(verify::generate(rng, tx_bytes,
+                                          kinds[i % kinds.size()], previous));
+        previous = stream.back();
+    }
+    return stream;
+}
+
 std::string
 failureText(const FuzzReport &report)
 {
     std::string text;
     for (const auto &failure : report.failures) {
         text += failure.spec + " wires=" +
-                std::to_string(failure.dataWires) + " " +
+                std::to_string(failure.dataWires) + " batch=" +
+                std::to_string(failure.batchTx) + " " +
                 failure.violation.invariant + ": " +
                 failure.violation.detail + "\n";
     }
     return text;
 }
 
+/** Transactions that give each unit one stream at every batch size. */
+constexpr std::uint64_t kOneSweep = kFuzzBatchSizes.size() * kFuzzStreamTx;
+
 /**
  * Every canonical spec agrees with its independent reference model (and
  * round-trips, and matches RefBus) over the full generator stream on both
- * channel widths. This is the acceptance gate: raise BXT_FUZZ_ITERS to
- * 1000000 for the full campaign the ISSUE requires locally.
+ * channel widths, one stream at each batch size. This is the acceptance
+ * gate: raise BXT_FUZZ_ITERS to 1000000 for a full local campaign.
  */
 TEST(Differential, CanonicalSpecsMatchReferenceModels)
 {
     FuzzOptions options;
-    options.iterationsPerSpec = fuzzIters(1500);
+    options.iterationsPerSpec = fuzzIters(kOneSweep);
     options.idleFraction = 0.3;
     const FuzzReport report = runDifferentialFuzz(options);
-    EXPECT_GT(report.transactionsChecked, 0u);
+    EXPECT_GE(report.transactionsChecked,
+              verify::canonicalSpecs().size() * 2 * kOneSweep);
     EXPECT_TRUE(report.ok()) << failureText(report);
 }
 
@@ -89,7 +118,7 @@ TEST(Differential, BothPipelineOrdersFuzzClean)
     FuzzOptions options;
     options.specs = {"xor4+zdr|dbi4", "dbi4|xor4+zdr",
                      "universal3+zdr|dbi4", "dbi4|universal3+zdr"};
-    options.iterationsPerSpec = fuzzIters(1500);
+    options.iterationsPerSpec = fuzzIters(kOneSweep);
     const FuzzReport report = runDifferentialFuzz(options);
     EXPECT_TRUE(report.ok()) << failureText(report);
 }
@@ -180,24 +209,20 @@ TEST(Differential, DbiWeightBoundHoldsOnDenseInputs)
 
 /**
  * The Bus-vs-RefBus comparison stays exact across idle-gap fractions,
- * where the wires park at zero between transactions.
+ * where the wires park at zero between transactions, at every batch size.
  */
 TEST(Differential, BusMatchesReferenceBusAcrossIdleFractions)
 {
-    const std::vector<verify::GenKind> &kinds = verify::allGenKinds();
+    const std::vector<Transaction> stream = makeStream(400, 32, 0x1d7e);
     for (double idle : {0.0, 0.3, 0.7}) {
         for (const char *spec : {"baseline", "xor4+zdr", "dbi4", "bd"}) {
-            DifferentialChecker checker(spec, 32, idle);
-            Rng rng(0x1d7e);
-            Transaction previous(32);
-            for (int i = 0; i < 400; ++i) {
-                const Transaction tx = verify::generate(
-                    rng, 32, kinds[i % kinds.size()], previous);
-                previous = tx;
-                const auto violation = checker.check(tx);
+            for (std::size_t batch_tx : kFuzzBatchSizes) {
+                const auto violation =
+                    verify::checkStream(spec, stream, 32, batch_tx, idle);
                 ASSERT_FALSE(violation.has_value())
-                    << spec << " idle " << idle << " "
-                    << violation->invariant << ": " << violation->detail;
+                    << spec << " idle " << idle << " batch " << batch_tx
+                    << " " << violation->invariant << ": "
+                    << violation->detail;
             }
         }
     }
@@ -244,69 +269,107 @@ class BuggyCodec : public Codec
     CodecPtr inner_;
 };
 
+const verify::CodecFactory kMutant = [](const std::string &, std::size_t) {
+    return CodecPtr(std::make_unique<BuggyCodec>());
+};
+
 /**
- * Mutation smoke test (ISSUE acceptance): the harness must catch the
- * injected bug within the normal fuzz budget and shrink the failing input
- * to a near-minimal repro — the bug needs only encoded byte 5 == 0x40,
- * reachable from a single set input bit, so the shrunken transaction must
- * be tiny and must still fail on a fresh checker.
+ * Mutation smoke test: the stream checker must catch the injected bug at
+ * every campaign batch size and shrink the failing input to a near-minimal
+ * repro — the bug needs only encoded byte 5 == 0x40, reachable from a
+ * single set input bit, so the shrunken transaction must be tiny and must
+ * still fail on a fresh codec. A campaign run must persist the repro, and
+ * replaying the corpus against the mutant must report it.
  */
 TEST(Differential, InjectedCodecBugIsCaughtAndShrunk)
 {
     const unsigned wires = 32;
-    DifferentialChecker checker(std::make_unique<BuggyCodec>(), "xor4+zdr",
-                                wires, 0.0);
-
-    const std::vector<verify::GenKind> &kinds = verify::allGenKinds();
-    Rng rng(0xb06);
-    Transaction previous(wires);
-    std::optional<Violation> violation;
-    Transaction failing(wires);
-    const std::uint64_t budget = fuzzIters(20000);
-    for (std::uint64_t i = 0; i < budget && !violation; ++i) {
-        const Transaction tx =
-            verify::generate(rng, wires, kinds[i % kinds.size()], previous);
-        previous = tx;
-        violation = checker.check(tx);
-        if (violation)
-            failing = tx;
-    }
-    ASSERT_TRUE(violation.has_value())
-        << "injected bug not caught in " << budget << " transactions";
-
+    const std::vector<Transaction> stream =
+        makeStream(kFuzzStreamTx, wires, 0xb06);
     const verify::FailPredicate fails = [&](const Transaction &candidate) {
-        DifferentialChecker fresh(std::make_unique<BuggyCodec>(), "xor4+zdr",
-                                  wires, 0.0);
-        return fresh.check(candidate).has_value();
+        return verify::checkStream("xor4+zdr", {candidate}, wires, 1, 0.0,
+                                   kMutant)
+            .has_value();
     };
-    ASSERT_TRUE(fails(failing)) << "failure does not reproduce fresh";
+    for (std::size_t batch_tx : kFuzzBatchSizes) {
+        SCOPED_TRACE("batch " + std::to_string(batch_tx));
+        const std::optional<Violation> violation = verify::checkStream(
+            "xor4+zdr", stream, wires, batch_tx, 0.0, kMutant);
+        ASSERT_TRUE(violation.has_value())
+            << "injected bug not caught in " << stream.size()
+            << " transactions";
+        const Transaction &failing = stream[violation->tx];
+        ASSERT_TRUE(fails(failing)) << "failure does not reproduce fresh";
 
-    const Transaction shrunk = verify::shrinkTransaction(failing, fails);
-    EXPECT_TRUE(fails(shrunk));
-    EXPECT_LE(shrunk.size(), 64u);
-    // Greedy span+bit shrinking cannot clear coupled bit pairs, but the
-    // minimum here is one set bit (input byte 5 = 0x40); allow slack for
-    // pair-coupled local minima while still proving real minimization.
-    EXPECT_LE(countOnes(shrunk), 8u)
-        << "shrunk repro still has " << countOnes(shrunk)
-        << " set bits: " << shrunk.toHex();
+        const Transaction shrunk = verify::shrinkTransaction(failing, fails);
+        EXPECT_TRUE(fails(shrunk));
+        EXPECT_LE(shrunk.size(), 64u);
+        // Greedy span+bit shrinking cannot clear coupled bit pairs, but the
+        // minimum here is one set bit (input byte 5 = 0x40); allow slack
+        // for pair-coupled local minima while still proving real
+        // minimization.
+        EXPECT_LE(countOnes(shrunk), 8u)
+            << "shrunk repro still has " << countOnes(shrunk)
+            << " set bits: " << shrunk.toHex();
+    }
+
+    const std::filesystem::path corpus =
+        std::filesystem::temp_directory_path() /
+        ("bxt-mutant-corpus-" + std::to_string(::getpid()));
+    std::filesystem::remove_all(corpus);
+    FuzzOptions options;
+    options.specs = {"xor4+zdr"};
+    options.dataWires = {wires};
+    options.iterationsPerSpec = kOneSweep;
+    options.corpusDir = corpus.string();
+    options.codecFactory = kMutant;
+    const FuzzReport report = runDifferentialFuzz(options);
+    ASSERT_EQ(report.failures.size(), 1u);
+    EXPECT_TRUE(report.failures[0].reproducesFresh);
+    EXPECT_FALSE(report.failures[0].reproPath.empty());
+    EXPECT_LT(countOnes(report.failures[0].shrunk),
+              countOnes(report.failures[0].original));
+
+    const FuzzReport replay = verify::replayCorpus(corpus.string(), kMutant);
+    EXPECT_EQ(replay.transactionsChecked, 1u);
+    EXPECT_EQ(replay.failures.size(), 1u);
+    // The real codec passes the same repro.
+    EXPECT_TRUE(verify::replayCorpus(corpus.string()).ok());
+    std::filesystem::remove_all(corpus);
 }
 
-/** Specs without a reference model still get round-trip + bus checking. */
+/**
+ * A timed campaign ends as soon as every unit has failed instead of
+ * idling out its budget, and still reports each unit's failure.
+ */
+TEST(Differential, TimedCampaignEndsOnceEveryUnitFailed)
+{
+    FuzzOptions options;
+    options.specs = {"xor4+zdr"};
+    options.secondsBudget = 30.0;
+    options.shrinkFailures = false;
+    options.codecFactory = kMutant;
+    const auto start = std::chrono::steady_clock::now();
+    const FuzzReport report = runDifferentialFuzz(options);
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    EXPECT_LT(seconds, 5.0);
+    EXPECT_EQ(report.failures.size(), options.dataWires.size());
+}
+
+/** Specs without a reference model are checked against a run one
+ *  transaction per batch, plus the round-trip and bus checks. */
 TEST(Differential, StatefulAndAcSpecsFuzzWithoutReference)
 {
-    for (const char *spec : {"bd", "dbi-ac1", "dbi-ac4"}) {
-        DifferentialChecker checker(spec, 32, 0.0);
-        EXPECT_FALSE(checker.hasReference()) << spec;
-    }
-    for (const char *spec : {"xor4+zdr", "universal3+zdr|dbi4", "dbi1"}) {
-        DifferentialChecker checker(spec, 32, 0.0);
-        EXPECT_TRUE(checker.hasReference()) << spec;
-    }
+    for (const char *spec : {"bd", "dbi-ac1", "dbi-ac4"})
+        EXPECT_EQ(verify::makeRefCodec(spec), nullptr) << spec;
+    for (const char *spec : {"xor4+zdr", "universal3+zdr|dbi4", "dbi1"})
+        EXPECT_NE(verify::makeRefCodec(spec), nullptr) << spec;
 
     FuzzOptions options;
     options.specs = {"bd", "dbi-ac1", "dbi-ac4", "bd|dbi4"};
-    options.iterationsPerSpec = fuzzIters(1500);
+    options.iterationsPerSpec = fuzzIters(kOneSweep);
     const FuzzReport report = runDifferentialFuzz(options);
     EXPECT_TRUE(report.ok()) << failureText(report);
 }

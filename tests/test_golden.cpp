@@ -33,7 +33,8 @@ goldenPath(const std::string &file)
     return std::string(BXT_GOLDEN_DIR) + "/" + file;
 }
 
-/** Every golden vector file re-verifies against the current build. */
+/** Every golden vector file re-verifies against the current build, run
+ *  through the kernels as one batch and one transaction per batch. */
 TEST(Golden, AllVectorFilesMatchCurrentImplementation)
 {
     std::size_t files = 0;

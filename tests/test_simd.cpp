@@ -4,9 +4,8 @@
  * semantics (invalid names fall back to scalar with a warning, never an
  * abort), per-primitive differential checks of every available kernel
  * table against the strict byte-loop scalar reference (CRC-32 also
- * against known answers), and the golden corpus plus the batch
- * differential fuzzer replayed at every dispatch level the host
- * supports.
+ * against known answers), and the golden corpus plus the differential
+ * campaign replayed at every dispatch level the host supports.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +19,7 @@
 #include "common/rng.h"
 #include "core/simd/kernels.h"
 #include "core/simd/simd.h"
-#include "verify/batch_check.h"
+#include "verify/differential.h"
 #include "verify/golden.h"
 
 namespace bxt {
@@ -374,8 +373,7 @@ TEST(SimdGolden, CorpusIsBitIdenticalAtEveryLevel)
                 const std::string path =
                     std::string(BXT_GOLDEN_DIR) + "/" +
                     verify::goldenFileName(spec, wires);
-                for (const std::string &diff :
-                     verify::checkGoldenFileBatch(path))
+                for (const std::string &diff : verify::checkGoldenFile(path))
                     ADD_FAILURE() << simd::levelName(level) << ": "
                                   << diff;
             }
@@ -390,23 +388,20 @@ TEST(SimdFuzz, BatchDifferentialHoldsAtEveryLevel)
         SCOPED_TRACE(simd::levelName(level));
         ASSERT_EQ(simd::setActiveLevel(level), level);
 
-        // Smaller per-level budget than test_batch's campaign: the sweep
-        // multiplies by the level count, and the per-primitive diffs
-        // above already cover the lane algebra densely.
-        verify::BatchFuzzOptions options;
-        options.streamsPerSpec = 4;
-        options.txPerStream = 64;
-        options.batchSizes = {1, 7, 64};
+        // One stream per unit, its batch size drawn from the unit seed:
+        // the sweep multiplies by the level count, and the per-primitive
+        // diffs above already cover the lane algebra densely.
+        verify::FuzzOptions options;
+        options.iterationsPerSpec = verify::kFuzzStreamTx;
         options.seed = 0x51D0F00D + static_cast<std::uint64_t>(level);
 
-        const verify::BatchFuzzReport report =
-            verify::runBatchDifferentialFuzz(options);
+        const verify::FuzzReport report = verify::runDifferentialFuzz(options);
         EXPECT_GT(report.transactionsChecked, 0u);
-        for (const verify::BatchFuzzFailure &failure : report.failures)
-            ADD_FAILURE() << simd::levelName(level) << ": "
-                          << failure.spec << " wires="
-                          << failure.dataWires << " batch="
-                          << failure.batchTx << " seed=" << failure.seed << ": "
+        for (const verify::FuzzFailure &failure : report.failures)
+            ADD_FAILURE() << simd::levelName(level) << ": " << failure.spec
+                          << " wires=" << failure.dataWires
+                          << " batch=" << failure.batchTx
+                          << " seed=" << failure.seed << ": "
                           << failure.violation.invariant << " "
                           << failure.violation.detail;
     }

@@ -1,13 +1,15 @@
 /**
  * @file
  * Differential fuzzing CLI: sweeps codec specs over structured transaction
- * generators, checks every invariant in verify/invariants.h, and shrinks
- * failing inputs into tests/corpus/. Exit 0 when every invariant held.
+ * generators, checks every invariant in verify/invariants.h with each
+ * stream run at one of the batch sizes 1, 7, 64 and 512, and shrinks
+ * failing inputs into tests/corpus/. Exit 0 when every invariant held,
+ * 1 on a failure, 2 on a usage error.
  *
  * Usage:
  *   bxt_fuzz [--iters N] [--seconds S] [--seed HEX] [--spec SPEC ...]
  *            [--wires W ...] [--corpus DIR] [--idle F] [--no-shrink]
- *            [--batch [--batch-streams N] [--batch-tx N]] [--frames N]
+ *            [--frames N]
  */
 
 #include <cstdio>
@@ -17,7 +19,6 @@
 
 #include "common/cli.h"
 #include "server/wire.h"
-#include "verify/batch_check.h"
 #include "verify/differential.h"
 
 int
@@ -31,7 +32,8 @@ main(int argc, char **argv)
                  "differential fuzzer: sweep codec specs over structured "
                  "generators and check every invariant");
     cli.add("--iters", "N",
-            "transactions per (spec, wires) unit (default 20000)",
+            "transactions per (spec, wires) unit, rounded up to whole "
+            "streams (default 20000)",
             [&](const std::string &v) {
                 options.iterationsPerSpec =
                     std::strtoull(v.c_str(), nullptr, 0);
@@ -49,7 +51,8 @@ main(int argc, char **argv)
             "spec to fuzz; repeatable (default: canonical set)",
             [&](const std::string &v) { options.specs.push_back(v); });
     cli.add("--wires", "W",
-            "channel width in bits; repeatable (default: 32 64)",
+            "channel width in bits: 8, 16, 32 or 64; repeatable "
+            "(default: 32 64)",
             [&](const std::string &v) {
                 wires.push_back(static_cast<unsigned>(
                     std::strtoul(v.c_str(), nullptr, 0)));
@@ -69,25 +72,16 @@ main(int argc, char **argv)
             [&](const std::string &v) {
                 frame_iters = std::strtoull(v.c_str(), nullptr, 0);
             });
-    bool batch_mode = false;
-    BatchFuzzOptions batch_options;
-    cli.addFlag("--batch",
-                "also fuzz the batch kernels against the reference codecs",
-                [&] { batch_mode = true; });
-    cli.add("--batch-streams", "N",
-            "generator streams per (spec, wires, batch) unit (default 12)",
-            [&](const std::string &v) {
-                batch_options.streamsPerSpec =
-                    std::strtoull(v.c_str(), nullptr, 0);
-            });
-    cli.add("--batch-tx", "N",
-            "transactions per batch-mode stream (default 96)",
-            [&](const std::string &v) {
-                batch_options.txPerStream =
-                    std::strtoull(v.c_str(), nullptr, 0);
-            });
     if (!cli.parse(argc, argv))
         return cli.exitCode();
+    for (unsigned w : wires) {
+        if (w != 8 && w != 16 && w != 32 && w != 64) {
+            std::fprintf(stderr,
+                         "bxt_fuzz: bad --wires %u (want 8, 16, 32 or 64)\n",
+                         w);
+            return 2;
+        }
+    }
 
     bool frames_ok = true;
     if (frame_iters > 0) {
@@ -109,39 +103,15 @@ main(int argc, char **argv)
         std::printf("  %s\n", line.c_str());
     };
 
-    bool batch_ok = true;
-    if (batch_mode) {
-        batch_options.specs = options.specs;
-        batch_options.seed = options.seed;
-        batch_options.idleFraction = options.idleFraction;
-        if (!wires.empty())
-            batch_options.dataWires = wires;
-        batch_options.progress = options.progress;
-        const BatchFuzzReport batch = runBatchDifferentialFuzz(batch_options);
-        std::printf("batch kernels: %llu transactions checked against the "
-                    "references, %zu failure(s)\n",
-                    static_cast<unsigned long long>(
-                        batch.transactionsChecked),
-                    batch.failures.size());
-        for (const BatchFuzzFailure &failure : batch.failures)
-            std::printf("BATCH FAIL %s wires=%u batch=%zu seed=0x%llx\n"
-                        "  invariant: %s\n  detail: %s\n",
-                        failure.spec.c_str(), failure.dataWires,
-                        failure.batchTx,
-                        static_cast<unsigned long long>(failure.seed),
-                        failure.violation.invariant.c_str(),
-                        failure.violation.detail.c_str());
-        batch_ok = batch.ok();
-    }
-
     const FuzzReport report = runDifferentialFuzz(options);
     std::printf("%llu transactions checked, %zu failure(s)\n",
                 static_cast<unsigned long long>(report.transactionsChecked),
                 report.failures.size());
     for (const FuzzFailure &failure : report.failures) {
-        std::printf("FAIL %s wires=%u seed=0x%llx\n  invariant: %s\n"
-                    "  detail: %s\n  original: %s\n  shrunk:   %s%s\n",
-                    failure.spec.c_str(), failure.dataWires,
+        std::printf("FAIL %s wires=%u batch=%zu seed=0x%llx\n"
+                    "  invariant: %s\n  detail: %s\n  original: %s\n"
+                    "  shrunk:   %s%s\n",
+                    failure.spec.c_str(), failure.dataWires, failure.batchTx,
                     static_cast<unsigned long long>(failure.seed),
                     failure.violation.invariant.c_str(),
                     failure.violation.detail.c_str(),
@@ -151,5 +121,5 @@ main(int argc, char **argv)
         if (!failure.reproPath.empty())
             std::printf("  repro: %s\n", failure.reproPath.c_str());
     }
-    return (report.ok() && frames_ok && batch_ok) ? 0 : 1;
+    return (report.ok() && frames_ok) ? 0 : 1;
 }
